@@ -100,10 +100,7 @@ class MemorySystem
      * resolveBandwidth() with the L2->MC crossing ceiling already
      * evaluated: resolveBandwidth(m, c, d) ==
      * resolveWithCrossingCap(m, d, crossing().maxBandwidth(c)),
-     * bitwise. Factored sweeps hoist the per-compute-frequency
-     * crossing cap (8 values) and the per-CU-count demand (8 values)
-     * and call this per lattice point; two compute frequencies whose
-     * crossing caps both clear the bus ceiling share one result.
+     * bitwise. The naive path's single-point solve.
      */
     BandwidthResult resolveWithCrossingCap(double memFreqMhz,
                                            const MemDemand &demand,
@@ -118,26 +115,21 @@ class MemorySystem
      * supply ceiling, saturation is monotone in the demand level, and
      * the concurrency fixed point is ceiling-independent) and runs
      * the remaining distinct bisections interleaved so their division
-     * chains pipeline — which is what makes batch table construction
-     * fast.
+     * chains pipeline.
      *
-     * The single-lane resolveWithCrossingCap() routes through this
-     * with lanes == 1, so there is exactly one solver implementation.
-     *
-     * With @p simd set (the default), the interleaved bisections run
-     * as explicit vector packs (src/common/simd.hh) with branchless
-     * per-lane selects; every operation is a lane-wise mirror of the
-     * scalar expression, so the results stay bitwise identical to the
-     * scalar loop (docs/MODEL.md §9). Pass false for the scalar
-     * reference loop (the --no-simd escape hatch).
+     * This is the scalar reference solver: the single-lane
+     * resolveWithCrossingCap(), and with it the naive
+     * GpuDevice::run() path, routes through it with lanes == 1. The
+     * lattice tables use the vector form,
+     * resolveSlabLanesWithCrossingCap(), which is pinned bitwise to
+     * this loop (docs/MODEL.md §9).
      */
     void resolveLanesWithCrossingCap(double memFreqMhz,
                                      const MemDemand &demand,
                                      size_t lanes,
                                      const double *outstanding,
                                      const double *crossingCaps,
-                                     BandwidthResult *out,
-                                     bool simd = true) const;
+                                     BandwidthResult *out) const;
 
     /** One memory frequency's worth of lanes for the multi-slab
      * resolver below; fields mirror the resolveLanesWithCrossingCap
@@ -155,15 +147,18 @@ class MemorySystem
      * Resolve several memory frequencies' lane batches in one pass:
      * slab s is staged exactly like resolveLanesWithCrossingCap(
      * slabs[s].memFreqMhz, demand, ...), but the surviving bisections
-     * of ALL slabs run together, iteration-major across vector packs.
-     * A single slab rarely stages more than one pack of distinct
-     * solves, so its pack is latency-bound on the 48 serially
-     * dependent iterations; batching across slabs gives the divider
-     * several independent packs per iteration to pipeline. Per lane
-     * the expression tree is unchanged (each solve carries its own
-     * slab's peak/unloaded-latency constants), so every result is
-     * bitwise identical to the per-slab call. SIMD-path only: the
-     * scalar reference keeps the per-slab route.
+     * of ALL slabs run together as explicit vector packs
+     * (src/common/simd.hh) with branchless per-lane selects,
+     * iteration-major across packs. A single slab rarely stages more
+     * than one pack of distinct solves, so its pack is latency-bound
+     * on the 48 serially dependent iterations; batching across slabs
+     * gives the divider several independent packs per iteration to
+     * pipeline. Per lane the expression tree is a mirror of the
+     * scalar loop (each solve carries its own slab's
+     * peak/unloaded-latency constants), so every result is bitwise
+     * identical to the scalar per-slab call. This is the solver the
+     * lattice tables use (TimingEngine::buildAxisTables), with one
+     * slab per call when the slabs are resolved on a pool.
      */
     void resolveSlabLanesWithCrossingCap(const SlabLaneRequest *slabs,
                                          size_t nSlabs,

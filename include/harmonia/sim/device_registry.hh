@@ -31,7 +31,7 @@
  *                 Ampere microbenchmark characterization
  *                 (arXiv:2208.11174): 128 SMs, 5 HBM2e stacks,
  *                 16x31x21 = 10,416 configs — the scale test for the
- *                 factored/SIMD lattice paths.
+ *                 batched lattice path.
  *
  * Lookups are case-insensitive. make()/profile() return Result rather
  * than throwing: the registry sits on the public/serve boundary where

@@ -85,10 +85,11 @@ struct PreparedKernel
 
 /**
  * The axis-dependent scalar inputs of one lattice point, as consumed
- * by the shared per-config combine step. The naive path computes them
- * with direct model calls; the factored path reads them out of
- * TimingAxisTables. Either way the combine arithmetic is identical,
- * which is what pins the two paths to bitwise-equal results.
+ * by the per-config combine step of TimingEngine::run(), which
+ * computes them with direct model calls. The batched lattice combine
+ * (LatticeEvaluator) reads the same values out of TimingAxisTables
+ * and mirrors the combine arithmetic op for op, which is what pins
+ * the two paths to bitwise-equal results.
  */
 struct TimingAxisValues
 {
@@ -220,46 +221,28 @@ class TimingEngine
     /**
      * Hoist everything about (@p profile, @p phase) that no tunable
      * can change: validation, occupancy, and the instruction/traffic
-     * totals. run() recomputes this bundle per call; sweeps compute it
-     * once and evaluate() 448 times.
+     * totals. run() recomputes this bundle per call; lattice sweeps
+     * compute it once and combine it with the axis tables at every
+     * point.
      */
     PreparedKernel prepare(const KernelProfile &profile,
                            const KernelPhase &phase) const;
 
     /**
      * Build the per-axis lookup tables for @p prep over this engine's
-     * configuration lattice. When @p pool is non-null the bandwidth
-     * lattice rows are resolved in parallel (each row writes only its
-     * own slots, so results are scheduling-independent). @p simd
-     * selects the lane-parallel bandwidth bisection (bitwise identical
-     * to the scalar solver; see resolveLanesWithCrossingCap).
+     * configuration lattice. The bandwidth lattice is resolved by the
+     * lane-parallel solver (MemorySystem::
+     * resolveSlabLanesWithCrossingCap, bitwise identical to per-point
+     * resolveBandwidth() calls). When @p pool is non-null its
+     * memory-frequency slabs are resolved in parallel (each slab
+     * writes only its own slots, so results are
+     * scheduling-independent).
      */
     TimingAxisTables buildAxisTables(const PreparedKernel &prep,
-                                     ThreadPool *pool = nullptr,
-                                     bool simd = true) const;
-
-    /**
-     * Factored equivalent of run(): combine a prepared kernel with
-     * table lookups for @p cfg. Bitwise identical to
-     * run(profile, phase, cfg) because every table entry was computed
-     * by the same model call run() would make, and the final combine
-     * step is the same code for both paths.
-     */
-    KernelTiming evaluate(const PreparedKernel &prep,
-                          const TimingAxisTables &tables,
-                          const HardwareConfig &cfg) const;
-
-    /**
-     * evaluate() with the axis positions already derived — for batch
-     * drivers that resolve (cu, cf, mem) indices once and reuse them
-     * for several table families. Indices must be in range.
-     */
-    KernelTiming evaluateAt(const PreparedKernel &prep,
-                            const TimingAxisTables &tables, size_t cuIdx,
-                            size_t cfIdx, size_t memIdx) const;
+                                     ThreadPool *pool = nullptr) const;
 
   private:
-    /** The per-config arithmetic shared by run() and evaluate(). */
+    /** The per-config arithmetic of run(). */
     KernelTiming combine(const PreparedKernel &prep,
                          const TimingAxisValues &axis) const;
 

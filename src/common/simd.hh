@@ -20,8 +20,8 @@
  * across lanes, or contracts into FMA (the TUs including this header
  * are compiled with -ffp-contract=off), so a vertical kernel built
  * from these ops is bitwise identical to its scalar mirror at any
- * vector width — which is what lets the SIMD lattice path promise
- * byte-identical results to the scalar reference path.
+ * vector width — which is what lets the batched lattice path promise
+ * byte-identical results to the naive GpuDevice::run() reference.
  *
  * Tail handling: loadN/storeN process a partial pack at a table edge.
  * loadN replicates the last valid element into the padding lanes so

@@ -55,11 +55,6 @@ struct ExpOptions
      * cross-device comparisons) are unaffected.
      */
     std::string device;
-
-    /** Run sweeps through the SIMD-batched lattice kernels; false is
-     * the harmonia_exp --no-simd escape hatch (results identical,
-     * exhibits record which path ran). */
-    bool simd = true;
 };
 
 /**

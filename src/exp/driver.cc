@@ -41,9 +41,7 @@ usage(std::ostream &os)
           "  --bench-reps N  micro_sweep passes per variant "
           "(default 6)\n"
           "  --device NAME   run on a registered device profile "
-          "(default hd7970)\n"
-          "  --no-simd       evaluate sweeps on the scalar reference "
-          "path\n";
+          "(default hd7970)\n";
 }
 
 /**
@@ -102,8 +100,6 @@ parseSharedOption(int argc, char **argv, int &i, CliOptions &opt,
         opt.exp.device = value("--device");
     } else if (arg.rfind("--device=", 0) == 0) {
         opt.exp.device = arg.substr(9);
-    } else if (arg == "--no-simd") {
-        opt.exp.simd = false;
     } else {
         return false;
     }
@@ -256,37 +252,6 @@ runDriver(int argc, char **argv)
         return runSelection(opt, selection);
     } catch (const SimError &e) {
         std::cerr << "harmonia_exp: " << e.what() << '\n';
-        return 1;
-    }
-}
-
-int
-runLegacyWrapper(int argc, char **argv, const std::string &name)
-{
-    CliOptions opt;
-    applyJobsEnv(opt);
-    bool bad = false;
-    for (int i = 1; i < argc && !bad; ++i) {
-        if (!parseSharedOption(argc, argv, i, opt, bad)) {
-            // The pre-refactor binaries ignored unknown arguments;
-            // the compatibility wrappers keep doing so.
-        }
-    }
-    if (bad) {
-        usage(std::cerr);
-        return 2;
-    }
-
-    const Experiment *e = ExperimentRegistry::instance().find(name);
-    if (!e) {
-        std::cerr << "harmonia_exp wrapper: experiment '" << name
-                  << "' is not registered\n";
-        return 2;
-    }
-    try {
-        return runSelection(opt, {e});
-    } catch (const SimError &ex) {
-        std::cerr << name << ": " << ex.what() << '\n';
         return 1;
     }
 }

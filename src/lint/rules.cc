@@ -4,8 +4,8 @@
  * source contracts"). Four families:
  *
  *  - determinism: the repo's headline guarantee is bitwise-identical
- *    output across thread counts, batching modes, transports, and the
- *    scalar/SIMD lattice paths. Ambient randomness and unordered-
+ *    output across thread counts, batching modes, transports, SIMD
+ *    backends, and the naive/batched lattice paths. Ambient randomness and unordered-
  *    container iteration order are the two classic ways an edit
  *    breaks that silently.
  *  - FP-contract safety: every TU that includes the SIMD shim must
@@ -333,7 +333,7 @@ HARMONIA_REGISTER_LINT_RULE(NoUnorderedIteration)
 // --- FP-contract safety ------------------------------------------------
 
 /**
- * The scalar/SIMD bitwise-equality contract (docs/MODEL.md §9) holds
+ * The naive/batched bitwise-equality contract (docs/MODEL.md §9) holds
  * because exactly the TUs that include src/common/simd.hh build with
  * HARMONIA_SIMD_SOURCE_OPTIONS (-ffp-contract=off ...). A new include
  * without the matching CMake entry compiles fine and silently forks

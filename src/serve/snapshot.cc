@@ -540,9 +540,9 @@ modelFingerprint(const GpuDevice &device,
     // Behavioral probes: run a spread of suite kernels at the lattice
     // corners and midpoint and hash every result bit. Any model
     // constant that can influence a cached metric flows through here.
-    // run() is the scalar reference path, bitwise identical to the
-    // SIMD path by the equivalence contract, so the fingerprint is
-    // independent of --no-simd and job count.
+    // run() is the naive reference path, bitwise identical to the
+    // batched lattice path by the equivalence contract, so the
+    // fingerprint is independent of the SIMD backend and job count.
     if (!lattice.empty()) {
         const std::vector<Application> suite = standardSuite();
         const size_t probeApps = std::min<size_t>(4, suite.size());

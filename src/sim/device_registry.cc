@@ -95,7 +95,7 @@ hbmStackedProfile()
  * 1.54 TB/s) with finer DVFS steps than the 2012 card — 8-SM gating
  * granularity, 50 MHz core steps to 1.8 GHz, 40 MHz memory steps.
  * 16 x 31 x 21 = 10,416 lattice points: the scale test for the
- * factored/SIMD evaluator beyond the HD7970's 448.
+ * batched lattice evaluator beyond the HD7970's 448.
  */
 DeviceProfile
 ampereGa100Profile()

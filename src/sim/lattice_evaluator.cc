@@ -1,11 +1,9 @@
 #include "lattice_evaluator.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/check.hh"
 #include "common/simd.hh"
-#include "harmonia/common/thread_pool.hh"
 
 namespace harmonia
 {
@@ -13,9 +11,9 @@ namespace harmonia
 LatticeEvaluator::LatticeEvaluator(const GpuDevice &device,
                                    const KernelProfile &profile,
                                    const KernelPhase &phase,
-                                   ThreadPool *pool, bool simd)
+                                   ThreadPool *pool)
     : device_(device), prep_(device.engine().prepare(profile, phase)),
-      timing_(device.engine().buildAxisTables(prep_, pool, simd))
+      timing_(device.engine().buildAxisTables(prep_, pool))
 {
     const size_t nCu = timing_.cuValues.size();
     const size_t nCf = timing_.computeFreqValues.size();
@@ -85,51 +83,6 @@ LatticeEvaluator::LatticeEvaluator(const GpuDevice &device,
     }
 }
 
-KernelResult
-LatticeEvaluator::evaluate(const HardwareConfig &cfg) const
-{
-    KernelResult out;
-    evaluateInto(cfg, out);
-    return out;
-}
-
-void
-LatticeEvaluator::evaluateInto(const HardwareConfig &cfg,
-                               KernelResult &out) const
-{
-    evaluateAtInto(timing_.cuIndex(cfg.cuCount),
-                   timing_.computeFreqIndex(cfg.computeFreqMhz),
-                   timing_.memFreqIndex(cfg.memFreqMhz), out);
-}
-
-void
-LatticeEvaluator::evaluateAtInto(size_t cuIdx, size_t cfIdx,
-                                 size_t memIdx, KernelResult &out) const
-{
-    const size_t nCf = timing_.computeFreqValues.size();
-    const size_t gpuSlot = cuIdx * nCf + cfIdx;
-    const GpuPowerFactors gpuFactors{gpuCuDynPrefix_[gpuSlot],
-                                     gpuUncoreDynPrefix_[gpuSlot],
-                                     gpuLeakage_[gpuSlot]};
-    const GpuPowerBreakdown idleGpu{idleGpuCuDynamic_[gpuSlot],
-                                    idleGpuUncoreDynamic_[gpuSlot],
-                                    idleGpuLeakage_[gpuSlot]};
-    const Gddr5PowerFactors memFactors{memFRatio_[memIdx],
-                                       memLowFreqScale_[memIdx],
-                                       memVScale_[memIdx],
-                                       memBackground_[memIdx]};
-    const MemPowerBreakdown idleMem{idleMemBackground_[memIdx],
-                                    idleMemActivatePrecharge_[memIdx],
-                                    idleMemReadWrite_[memIdx],
-                                    idleMemTermination_[memIdx],
-                                    idleMemPhy_[memIdx]};
-    device_.composeResultInto(
-        out,
-        device_.engine().evaluateAt(prep_, timing_, cuIdx, cfIdx, memIdx),
-        prep_.phase, gpuFactors, idleGpu, memFactors, idleMem,
-        timing_.l2Bandwidth[cfIdx], timing_.peakBandwidth[memIdx]);
-}
-
 void
 LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
                                       const size_t *cfIdx,
@@ -152,12 +105,12 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
  *     lane pattern goes through an indexed scalar gather into stack
  *     SoA buffers;
  *  2. vector passes mirror TimingEngine::combine() and
- *     GpuDevice::composeResultInto() op for op over the packs —
- *     same operations, same order, same operands per lane, only
- *     evaluated VDouble::width lanes at a time (so the results are
- *     bitwise identical to the scalar path; docs/MODEL.md §9);
+ *     GpuDevice::composeResult() op for op over the packs — same
+ *     operations, same order, same operands per lane, only evaluated
+ *     VDouble::width lanes at a time (so the results are bitwise
+ *     identical to the naive GpuDevice::run(); docs/MODEL.md §9);
  *  3. a scalar scatter pass assembles each KernelResult and runs the
- *     same always-on validation the scalar path runs.
+ *     same always-on validation the naive path runs.
  */
 void
 LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
@@ -258,7 +211,7 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
     const VDouble vLaunch(tp.launchOverheadSec);
     const VDouble vBusW(tp.busStallWeight);
     // exposureStallWeight * prep.exposure is config-invariant; the
-    // scalar combine recomputes the identical product per config.
+    // naive combine recomputes the identical product per config.
     const VDouble vExpStall(tp.exposureStallWeight * prep_.exposure);
     const VDouble vWriteShare(prep_.writeShare);
     const VDouble vReqBytes(prep_.requestedBytes);
@@ -409,7 +362,7 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
         vL2Hit.storeN(l2CacheHit + i, lanes);
         vIc.storeN(icActivity + i, lanes);
 
-        // -- GpuDevice::composeResultInto() ---------------------------
+        // -- GpuDevice::composeResult() -------------------------------
         const VDouble vInvBusy = one / vmax(vBusy, tiny);
         const VDouble vL2Bps = vReqBytes * vInvBusy;
         const VDouble vL2Act = vmin(one, vL2Bps / vL2bwIn);
@@ -456,7 +409,7 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
             vIdleGpuTot + vIdleMemTot + vIdleOther;
 
         // Energy integration and the nine time-weighted blends. The
-        // scalar path's invTotal is the same expression as invWall on
+        // naive path's invTotal is the same expression as invWall on
         // the same execTime, so the reciprocal is shared here.
         const VDouble vCardE =
             vBusyCardTot * vBusy + vIdleCardTot * vLaunch;
@@ -491,7 +444,7 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
         vPOther.storeN(pOther + i, lanes);
     }
 
-    // ---- Scatter: assemble results, run the scalar path's always-on
+    // ---- Scatter: assemble results, run the naive path's always-on
     // validation per lane -------------------------------------------
     for (size_t i = 0; i < n; ++i) {
         KernelResult &r = out[i];

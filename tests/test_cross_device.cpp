@@ -53,12 +53,12 @@ TEST(CrossDevice, EveryRegisteredDeviceSatisfiesTheCatalog)
 TEST(CrossDevice, AmpereFullLatticeSimdSweepIsClean)
 {
     // The 10k+-config scale test from the acceptance checklist: the
-    // whole ampere-ga100 lattice through the SIMD path, 0 violations.
+    // whole ampere-ga100 lattice through the batched path, 0
+    // violations.
     const GpuDevice device = makeDevice("ampere-ga100").value();
     ASSERT_GE(device.space().size(), 10000u);
     CheckOptions opt;
     opt.jobs = 4;
-    opt.simd = true;
     const ModelChecker checker(device, opt);
     const Application app = makeMaxFlops();
     const CheckReport report =
@@ -70,19 +70,24 @@ TEST(CrossDevice, AmpereFullLatticeSimdSweepIsClean)
 
 TEST(CrossDevice, ScalarAndSimdAgreeOffTheDefaultLattice)
 {
-    // The scalar/SIMD bitwise contract is lattice-generic too: on the
-    // stacked part, both paths must produce identical sweep results.
-    const GpuDevice device = makeDevice("hbm-stacked").value();
+    // The batched-vs-naive bitwise contract is lattice-generic too:
+    // on the stacked part and on ampere-ga100, whose 31-wide compute
+    // axis cannot take the fused gather, the batched sweep must match
+    // per-config run() calls.
     const KernelProfile k = makeDeviceMemory().kernels.front();
-
-    const ConfigSweep simd(device, SweepOptions{1, 0, true, true});
-    const ConfigSweep scalar(device, SweepOptions{1, 0, true, false});
-    const std::vector<KernelResult> &a = simd.evaluate(k, 0);
-    const std::vector<KernelResult> &b = scalar.evaluate(k, 0);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].time(), b[i].time()) << "point " << i;
-        ASSERT_EQ(a[i].ed2(), b[i].ed2()) << "point " << i;
+    const KernelPhase phase = k.phase(0);
+    for (const char *name : {"hbm-stacked", "ampere-ga100"}) {
+        const GpuDevice device = makeDevice(name).value();
+        const ConfigSweep sweep(device, SweepOptions{1, 0});
+        const std::vector<KernelResult> &a = sweep.evaluate(k, 0);
+        ASSERT_EQ(a.size(), sweep.configs().size());
+        for (size_t i = 0; i < a.size(); ++i) {
+            const KernelResult b = device.run(k, phase, sweep.configs()[i]);
+            ASSERT_EQ(a[i].time(), b.time()) << name << " point " << i;
+            ASSERT_EQ(a[i].ed2(), b.ed2()) << name << " point " << i;
+            ASSERT_EQ(a[i].power.total(), b.power.total())
+                << name << " point " << i;
+        }
     }
 }
 

@@ -2,9 +2,9 @@
  * @file
  * Bitwise-equivalence harness for the factored lattice evaluator.
  *
- * The factored path (TimingEngine::prepare + buildAxisTables +
- * evaluate, LatticeEvaluator, GpuDevice::runLattice) promises results
- * *bitwise identical* to the naive per-config path — not merely close.
+ * The factored path (TimingEngine::prepare + buildAxisTables,
+ * LatticeEvaluator, GpuDevice::runLattice) promises results *bitwise
+ * identical* to the naive per-config path — not merely close.
  * These tests compare every double of every KernelResult at the bit
  * level across the full workload suite x the 448-point lattice, plus
  * spot-check each axis table against direct model calls (which also
@@ -146,29 +146,24 @@ TEST(FactoredEngine, FullSuiteBitwiseIdenticalToNaive)
 
 // Same guarantee through the sweep engine with a thread pool: the
 // factored batch path must be scheduling-independent and bit-equal to
-// a serial naive sweep.
+// direct per-config run() calls.
 TEST(FactoredEngine, SweepFactoredMatchesNaiveSweep)
 {
-    SweepOptions naiveOpts;
-    naiveOpts.jobs = 1;
-    naiveOpts.factored = false;
-    const ConfigSweep naive(device(), naiveOpts);
-
-    SweepOptions factoredOpts;
-    factoredOpts.jobs = 4;
-    factoredOpts.factored = true;
-    const ConfigSweep factored(device(), factoredOpts);
+    SweepOptions opts;
+    opts.jobs = 4;
+    const ConfigSweep factored(device(), opts);
 
     for (const Application &app : {makeDeviceMemory(), makeSort(),
                                    makeXsbench()}) {
         for (const KernelProfile &k : app.kernels) {
-            const auto &a = naive.evaluate(k, 0);
+            const KernelPhase phase = k.phase(0);
             const auto &b = factored.evaluate(k, 0);
-            ASSERT_EQ(a.size(), b.size());
-            for (size_t i = 0; i < a.size(); ++i)
-                expectSameResult(a[i], b[i],
-                                 k.id() + " @ " +
-                                     naive.configs()[i].str());
+            ASSERT_EQ(b.size(), factored.configs().size());
+            for (size_t i = 0; i < b.size(); ++i) {
+                const HardwareConfig &cfg = factored.configs()[i];
+                expectSameResult(device().run(k, phase, cfg), b[i],
+                                 k.id() + " @ " + cfg.str());
+            }
         }
     }
 }
@@ -273,24 +268,39 @@ TEST(FactoredEngine, ParallelTableBuildMatchesSerial)
     }
 }
 
-// Off-lattice configurations are rejected by the table lookup just as
-// the naive path rejects them in validate().
+// Off-lattice configurations are rejected by runLattice's axis
+// lookups just as the naive path rejects them in validate() — serially
+// and from a pooled lane block past the first chunk.
 TEST(FactoredEngine, OffLatticeEvaluationThrows)
 {
     const GpuDevice &dev = device();
     const KernelProfile k = makeMaxFlops().kernels.front();
-    const LatticeEvaluator eval(dev, k, k.phase(0));
+    const KernelPhase phase = k.phase(0);
+    ThreadPool pool(4);
 
-    HardwareConfig cfg = dev.space().maxConfig();
-    EXPECT_NO_THROW(eval.evaluate(cfg));
-    cfg.computeFreqMhz = 1001;
-    EXPECT_THROW(eval.evaluate(cfg), ConfigError);
-    cfg = dev.space().maxConfig();
-    cfg.cuCount = 3;
-    EXPECT_THROW(eval.evaluate(cfg), ConfigError);
-    cfg = dev.space().maxConfig();
-    cfg.memFreqMhz = 500;
-    EXPECT_THROW(eval.evaluate(cfg), ConfigError);
+    const HardwareConfig max = dev.space().maxConfig();
+    HardwareConfig badCf = max;
+    badCf.computeFreqMhz = 1001;
+    HardwareConfig badCu = max;
+    badCu.cuCount = 3;
+    HardwareConfig badMem = max;
+    badMem.memFreqMhz = 500;
+
+    std::vector<KernelResult> out(LatticeEvaluator::kBatchChunk + 1);
+    for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr), &pool}) {
+        const std::vector<HardwareConfig> ok(out.size(), max);
+        EXPECT_NO_THROW(dev.runLattice(k, phase, ok, out.data(), p));
+        for (const HardwareConfig &bad : {badCf, badCu, badMem}) {
+            EXPECT_THROW(dev.runLattice(k, phase, {bad}, out.data(), p),
+                         ConfigError)
+                << bad.str();
+            std::vector<HardwareConfig> batch = ok;
+            batch.back() = bad;
+            EXPECT_THROW(dev.runLattice(k, phase, batch, out.data(), p),
+                         ConfigError)
+                << bad.str();
+        }
+    }
 }
 
 // The sweep memo must treat the factored and naive paths as the same

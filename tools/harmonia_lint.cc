@@ -2,7 +2,7 @@
  * @file
  * harmonia_lint — static source-contract analyzer for this repo.
  *
- * Scans src/, include/, tools/, bench/, examples/, and tests/ and
+ * Scans src/, include/, tools/, examples/, and tests/ and
  * enforces the contracts the dynamic suites can only catch after the
  * fact: determinism (no ambient randomness, no unordered-container
  * iteration order reaching outputs), FP-contract safety (every TU
