@@ -8,11 +8,11 @@
  * impractical to deploy; here it serves as the upper bound Harmonia is
  * compared against (Harmonia lands within ~3% on average).
  *
- * The exhaustive replay runs on the ConfigSweep engine: the search
- * parallelizes across configurations (SweepOptions::jobs) and repeated
- * searches of the same invocation are served from the sweep's memo
- * cache. The argmax reduction always walks the canonical enumeration
- * order, so parallel and serial searches pick bit-identical configs.
+ * Each search runs the lattice (parallel over SweepOptions::jobs) into
+ * one reused buffer and keeps only the argmin; the per-iteration
+ * decision cache stops repeat searches, so no lattice is memoized. The
+ * argmin (bestConfigIndex) walks the canonical enumeration order, so
+ * parallel and serial searches pick bit-identical configs.
  */
 
 #ifndef HARMONIA_CORE_ORACLE_HH
@@ -20,6 +20,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "harmonia/core/governor.hh"
 #include "harmonia/core/sweep.hh"
@@ -39,6 +40,20 @@ enum class OracleObjective
 
 /** Printable objective name. */
 const char *oracleObjectiveName(OracleObjective objective);
+
+/** The score @p objective minimizes for one evaluated point. */
+double objectiveScore(const KernelResult &result, OracleObjective objective);
+
+/**
+ * The oracle's reduction: index of the best results[i] (evaluated at
+ * configs[i]) under @p objective, by a serial walk in configs order.
+ * MaxPerf near-ties (relative 1e-6) go to the largest configuration.
+ * With no finite score it returns the last index, which is the
+ * maximum configuration of the canonical enumeration.
+ */
+size_t bestConfigIndex(const std::vector<HardwareConfig> &configs,
+                       const std::vector<KernelResult> &results,
+                       OracleObjective objective);
 
 /** Exhaustive-search oracle. */
 class OracleGovernor : public Governor
@@ -67,32 +82,30 @@ class OracleGovernor : public Governor
     /** Number of exhaustive searches performed (for tests). */
     size_t searches() const { return searches_; }
 
-    /** The sweep engine backing the searches (for cache stats). */
+    /** Enumeration and pool of the searches; its memo stays empty. */
     const ConfigSweep &sweep() const { return sweep_; }
 
   private:
-    double score(const KernelResult &result) const;
-
     ConfigSweep sweep_;
     OracleObjective objective_;
     std::map<std::string, HardwareConfig> cache_;
+    std::vector<KernelResult> results_; ///< Reused search buffer.
     size_t searches_ = 0;
 };
 
 /**
  * Standalone exhaustive search on an existing sweep engine: best
- * configuration for one kernel invocation under an objective. The
- * reduction is a serial walk of sweep.configs() order, so the result
- * does not depend on the sweep's thread count.
+ * configuration for one kernel invocation under an objective, with
+ * the lattice memoized in the sweep for callers that read it again.
+ * The pick does not depend on the sweep's thread count.
  */
 HardwareConfig bestConfigFor(const ConfigSweep &sweep,
                              const KernelProfile &profile, int iteration,
                              OracleObjective objective);
 
 /**
- * Convenience overload building a throwaway serial sweep. Used by the
- * oracle-adjacent analyses (Figure 6 metric tradeoffs) that only need
- * one search per invocation.
+ * One serial, unmemoized search of @p device's lattice, for analyses
+ * (Figure 6 metric tradeoffs) that search each invocation once.
  */
 HardwareConfig bestConfigFor(const GpuDevice &device,
                              const KernelProfile &profile, int iteration,

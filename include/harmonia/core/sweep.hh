@@ -9,9 +9,10 @@
  * one place (the canonical mem-major order of
  * ConfigSpace::allConfigs()) and evaluates a kernel invocation at
  * every point with a ThreadPool, memoizing the 448-result vector per
- * (app, kernel, iteration) so repeated searches — the oracle visits
- * each invocation once per scheme, benches rerun figures — hit the
- * cache instead of the timing model.
+ * (app, kernel, iteration) for callers that read a lattice again:
+ * sensitivity ground truth, check_model, the serving daemon's
+ * `sweep`/`evaluate` verbs and the exhibits. OracleGovernor uses only
+ * the enumeration and the pool and never fills the memo.
  *
  * Determinism: the device model is const and purely functional, each
  * configuration's result is written to its own pre-assigned slot, and

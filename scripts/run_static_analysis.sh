@@ -17,8 +17,9 @@
 #              naive/batched equivalence suites (test_factored_engine,
 #              test_simd_equivalence, test_simd_shim), and
 #              `harmonia_exp --run fig10 --jobs 4`
-#   tsan       TSan build; the thread-pool and sweep-determinism
-#              tests, which exercise every lock in the library
+#   tsan       TSan build; the thread-pool, sweep-determinism and
+#              oracle tests, which exercise every lock in the library
+#              and the oracle's reused buffer written by pool workers
 #   model      check_model: the 11-invariant physics check across
 #              every (app x 448-config) point of the suite, through
 #              the batched lattice path
@@ -115,13 +116,14 @@ if want asan; then
 fi
 
 if want tsan; then
-    note "TSan (thread pool + sweep determinism)"
+    note "TSan (thread pool + sweep determinism + oracle)"
     configure_and_build build-tsan \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DHARMONIA_TSAN=ON || FAILED=1
     if [ "$FAILED" -eq 0 ]; then
         ./build-tsan/tests/test_thread_pool > /dev/null || FAILED=1
         ./build-tsan/tests/test_sweep_determinism > /dev/null || FAILED=1
+        ./build-tsan/tests/test_oracle > /dev/null || FAILED=1
         echo "TSan runs clean"
     fi
 fi

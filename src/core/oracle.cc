@@ -19,9 +19,6 @@ oracleObjectiveName(OracleObjective objective)
     return "unknown";
 }
 
-namespace
-{
-
 double
 objectiveScore(const KernelResult &result, OracleObjective objective)
 {
@@ -34,57 +31,64 @@ objectiveScore(const KernelResult &result, OracleObjective objective)
     panic("objectiveScore: bad objective");
 }
 
-} // namespace
-
-HardwareConfig
-bestConfigFor(const ConfigSweep &sweep, const KernelProfile &profile,
-              int iteration, OracleObjective objective)
+size_t
+bestConfigIndex(const std::vector<HardwareConfig> &configs,
+                const std::vector<KernelResult> &results,
+                OracleObjective objective)
 {
-    const auto &results = sweep.evaluate(profile, iteration);
-    const auto &configs = sweep.configs();
-
+    fatalIf(configs.empty() || results.size() != configs.size(),
+            "bestConfigIndex: results do not match configs");
     double best = std::numeric_limits<double>::infinity();
-    HardwareConfig bestCfg = sweep.device().space().maxConfig();
+    size_t bestIdx = configs.size() - 1;
     // Near-ties on pure performance resolve toward the *maximum*
     // configuration: a performance-first policy has no reason to give
     // up any hardware resource, which is exactly the naive baseline
     // the paper's Figure 6 contrasts ED^2 against.
     const bool preferBig = objective == OracleObjective::MaxPerf;
+    auto size = [&](size_t i) {
+        return static_cast<long long>(configs[i].cuCount) *
+               configs[i].computeFreqMhz * configs[i].memFreqMhz;
+    };
     for (size_t i = 0; i < configs.size(); ++i) {
-        const HardwareConfig &cfg = configs[i];
         const double s = objectiveScore(results[i], objective);
         const bool better =
             preferBig ? s < best * (1.0 - 1e-6) : s < best;
         if (better) {
             best = s;
-            bestCfg = cfg;
-        } else if (preferBig && s <= best * (1.0 + 1e-6)) {
-            // Tie: take the larger configuration.
-            const long long cur =
-                static_cast<long long>(bestCfg.cuCount) *
-                bestCfg.computeFreqMhz * bestCfg.memFreqMhz;
-            const long long cand =
-                static_cast<long long>(cfg.cuCount) *
-                cfg.computeFreqMhz * cfg.memFreqMhz;
-            if (cand > cur)
-                bestCfg = cfg;
+            bestIdx = i;
+        } else if (preferBig && s <= best * (1.0 + 1e-6) &&
+                   size(i) > size(bestIdx)) {
+            bestIdx = i; // Tie: take the larger configuration.
         }
     }
-    return bestCfg;
+    return bestIdx;
+}
+
+HardwareConfig
+bestConfigFor(const ConfigSweep &sweep, const KernelProfile &profile,
+              int iteration, OracleObjective objective)
+{
+    const auto &configs = sweep.configs();
+    return configs[bestConfigIndex(
+        configs, sweep.evaluate(profile, iteration), objective)];
 }
 
 HardwareConfig
 bestConfigFor(const GpuDevice &device, const KernelProfile &profile,
               int iteration, OracleObjective objective)
 {
-    ConfigSweep sweep(device);
-    return bestConfigFor(sweep, profile, iteration, objective);
+    const std::vector<HardwareConfig> configs = device.space().allConfigs();
+    std::vector<KernelResult> results(configs.size());
+    device.runLattice(profile, profile.phase(iteration), configs,
+                      results.data());
+    return configs[bestConfigIndex(configs, results, objective)];
 }
 
 OracleGovernor::OracleGovernor(const GpuDevice &device,
                                OracleObjective objective,
                                SweepOptions sweep)
-    : sweep_(device, sweep), objective_(objective)
+    : sweep_(device, sweep), objective_(objective),
+      results_(sweep_.configs().size())
 {
 }
 
@@ -92,12 +96,6 @@ std::string
 OracleGovernor::name() const
 {
     return std::string("Oracle(") + oracleObjectiveName(objective_) + ")";
-}
-
-double
-OracleGovernor::score(const KernelResult &result) const
-{
-    return objectiveScore(result, objective_);
 }
 
 HardwareConfig
@@ -109,8 +107,11 @@ OracleGovernor::decide(const KernelProfile &profile, int iteration)
     if (it != cache_.end())
         return it->second;
     ++searches_;
+    const auto &configs = sweep_.configs();
+    sweep_.device().runLattice(profile, profile.phase(iteration),
+                               configs, results_.data(), &sweep_.pool());
     const HardwareConfig best =
-        bestConfigFor(sweep_, profile, iteration, objective_);
+        configs[bestConfigIndex(configs, results_, objective_)];
     cache_.emplace(key, best);
     return best;
 }

@@ -74,10 +74,10 @@ class ExtCrossDevice final : public Experiment
                 const HardwareConfig max = device.space().maxConfig();
                 const double maxEd2 =
                     lattice[sweep.indexOf(max)].ed2();
-                const HardwareConfig best = bestConfigFor(
-                    sweep, kernel, 0, OracleObjective::MinEd2);
-                const double bestEd2 =
-                    lattice[sweep.indexOf(best)].ed2();
+                const size_t bestIdx = bestConfigIndex(
+                    sweep.configs(), lattice, OracleObjective::MinEd2);
+                const HardwareConfig &best = sweep.configs()[bestIdx];
+                const double bestEd2 = lattice[bestIdx].ed2();
                 landscape.row()
                     .cell(name)
                     .numInt(static_cast<long long>(lattice.size()))

@@ -43,18 +43,6 @@ parseObjective(const std::string &name)
         "\" (want min_ed2, min_ed, min_energy, or max_performance)");
 }
 
-double
-objectiveScore(OracleObjective objective, const KernelResult &r)
-{
-    switch (objective) {
-      case OracleObjective::MinEd2: return r.ed2();
-      case OracleObjective::MinEnergy: return r.cardEnergy;
-      case OracleObjective::MaxPerf: return r.time();
-      case OracleObjective::MinEd: return r.ed();
-    }
-    return r.ed2();
-}
-
 JsonValue
 kernelResultJson(const HardwareConfig &cfg, const KernelResult &r)
 {
@@ -929,18 +917,15 @@ Service::runSweep(const SweepParams &p)
     DeviceState &dev = *devResult.value();
     ++dev.requests;
     const ConfigSweep &sweep = dev.sweep;
+    const OracleObjective obj = objective.value();
 
     const std::vector<KernelResult> &results =
         sweep.evaluate(*profile, p.iteration);
     const std::vector<HardwareConfig> &configs = sweep.configs();
+    const size_t bestIdx = bestConfigIndex(configs, results, obj);
 
-    const HardwareConfig best =
-        bestConfigFor(sweep, *profile, p.iteration, objective.value());
-    const size_t bestIdx = sweep.indexOf(best);
-
-    JsonValue bestJson = kernelResultJson(best, results[bestIdx]);
-    bestJson.set("score", JsonValue(objectiveScore(objective.value(),
-                                                   results[bestIdx])));
+    JsonValue bestJson = kernelResultJson(configs[bestIdx], results[bestIdx]);
+    bestJson.set("score", JsonValue(objectiveScore(results[bestIdx], obj)));
 
     JsonValue out = JsonValue::object({
         {"kernel", JsonValue(p.kernel)},
@@ -959,8 +944,8 @@ Service::runSweep(const SweepParams &p)
         std::iota(order.begin(), order.end(), size_t{0});
         std::stable_sort(
             order.begin(), order.end(), [&](size_t a, size_t b) {
-                return objectiveScore(objective.value(), results[a]) <
-                       objectiveScore(objective.value(), results[b]);
+                return objectiveScore(results[a], obj) <
+                       objectiveScore(results[b], obj);
             });
         const size_t n =
             std::min(static_cast<size_t>(p.top), order.size());
@@ -968,9 +953,7 @@ Service::runSweep(const SweepParams &p)
         for (size_t i = 0; i < n; ++i) {
             const size_t idx = order[i];
             JsonValue row = kernelResultJson(configs[idx], results[idx]);
-            row.set("score",
-                    JsonValue(objectiveScore(objective.value(),
-                                             results[idx])));
+            row.set("score", JsonValue(objectiveScore(results[idx], obj)));
             top.push(std::move(row));
         }
         out.set("top", std::move(top));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "harmonia/core/oracle.hh"
+#include "harmonia/sim/device_registry.hh"
 #include "harmonia/workloads/suite.hh"
 
 using namespace harmonia;
@@ -100,4 +101,42 @@ TEST(Oracle, ObjectiveNames)
     EXPECT_STREQ(oracleObjectiveName(OracleObjective::MaxPerf),
                  "max-performance");
     EXPECT_STREQ(oracleObjectiveName(OracleObjective::MinEd), "min-ED");
+}
+
+TEST(Oracle, GovernorMatchesMemoizedSearch)
+{
+    // Every search path shares one reduction: the governor's reused
+    // buffer (serial and pooled), the memoized sweep, and the serial
+    // device overload must pick the same config. hbm-stacked adds a
+    // second lattice shape and its own MaxPerf ties.
+    for (const char *name : {"hd7970", "hbm-stacked"}) {
+        const GpuDevice dev = makeDevice(name).value();
+        const ConfigSweep sweep(dev, {.jobs = 4});
+        for (OracleObjective obj :
+             {OracleObjective::MinEd2, OracleObjective::MinEnergy,
+              OracleObjective::MaxPerf, OracleObjective::MinEd}) {
+            OracleGovernor serial(dev, obj, {.jobs = 1});
+            OracleGovernor pooled(dev, obj, {.jobs = 4});
+            // The determinism harness's mini-suite.
+            for (const Application &app :
+                 {makeComd(), makeBpt(), makeGraph500(), makeSpmv()}) {
+                for (const KernelProfile &kernel : app.kernels) {
+                    for (int it = 0; it < 3; ++it) {
+                        SCOPED_TRACE(std::string(name) + " " +
+                                     oracleObjectiveName(obj) + " " +
+                                     kernel.id() + "#" +
+                                     std::to_string(it));
+                        const HardwareConfig want =
+                            bestConfigFor(sweep, kernel, it, obj);
+                        EXPECT_EQ(serial.decide(kernel, it), want);
+                        EXPECT_EQ(pooled.decide(kernel, it), want);
+                        EXPECT_EQ(bestConfigFor(dev, kernel, it, obj),
+                                  want);
+                    }
+                }
+            }
+            EXPECT_EQ(serial.sweep().cacheEntries(), 0u);
+            EXPECT_EQ(pooled.sweep().cacheEntries(), 0u);
+        }
+    }
 }

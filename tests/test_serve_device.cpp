@@ -202,6 +202,33 @@ TEST(ServeDevice, StatsExposesPerDeviceCachePartitioning)
     EXPECT_GE(hbm->find("requests")->asInt(), 1);
 }
 
+TEST(ServeDevice, SweepLooksTheMemoUpOnce)
+{
+    // The sweep verb reduces the lattice it already holds: one memo
+    // lookup per request, so a fresh service counts one miss and no
+    // phantom hit, and only a repeat of the request is a hit.
+    Service service(ServiceOptions{});
+    JsonValue req = request("sweep");
+    req.set("kernel", JsonValue(firstKernelId()));
+
+    auto sweepCache = [&](const char *counter) {
+        const JsonValue stats = roundTrip(service, request("stats"));
+        EXPECT_TRUE(isOk(stats)) << stats.dump();
+        return stats.find("result")
+            ->find("sweep_cache")
+            ->find(counter)
+            ->asInt();
+    };
+
+    ASSERT_TRUE(isOk(roundTrip(service, req)));
+    EXPECT_EQ(sweepCache("hits"), 0);
+    EXPECT_EQ(sweepCache("misses"), 1);
+
+    ASSERT_TRUE(isOk(roundTrip(service, req)));
+    EXPECT_EQ(sweepCache("hits"), 1);
+    EXPECT_EQ(sweepCache("misses"), 1);
+}
+
 TEST(ServeDevice, DefaultDeviceOptionRebasesDevicelessRequests)
 {
     ServiceOptions opt;
