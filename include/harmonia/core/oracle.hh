@@ -82,7 +82,7 @@ class OracleGovernor : public Governor
     /** Number of exhaustive searches performed (for tests). */
     size_t searches() const { return searches_; }
 
-    /** Enumeration and pool of the searches; its memo stays empty. */
+    /** Enumeration and pool of the searches; its store stays empty. */
     const ConfigSweep &sweep() const { return sweep_; }
 
   private:
@@ -96,7 +96,8 @@ class OracleGovernor : public Governor
 /**
  * Standalone exhaustive search on an existing sweep engine: best
  * configuration for one kernel invocation under an objective, with
- * the lattice memoized in the sweep for callers that read it again.
+ * the lattice kept in the sweep's store for callers that read it
+ * again.
  * The pick does not depend on the sweep's thread count.
  */
 HardwareConfig bestConfigFor(const ConfigSweep &sweep,

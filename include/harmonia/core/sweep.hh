@@ -1,6 +1,6 @@
 /**
  * @file
- * Parallel design-space sweep engine.
+ * Parallel design-space sweep engine and the per-device point store.
  *
  * Every paper artifact replays kernels across the 8x8x7 = 448-point
  * tunable space: the ED^2 oracle (Section 6), the sensitivity
@@ -8,18 +8,24 @@
  * Figure 10-18 campaign. ConfigSweep owns that enumeration in exactly
  * one place (the canonical mem-major order of
  * ConfigSpace::allConfigs()) and evaluates a kernel invocation at
- * every point with a ThreadPool, memoizing the 448-result vector per
- * (app, kernel, iteration) for callers that read a lattice again:
- * sensitivity ground truth, check_model, the serving daemon's
- * `sweep`/`evaluate` verbs and the exhibits. OracleGovernor uses only
- * the enumeration and the pool and never fills the memo.
+ * every point with a ThreadPool.
+ *
+ * It is also the device's one store of evaluated points: a lattice
+ * per (kernel id, iteration), each slot absent, computed, or restored
+ * from a durable snapshot. evaluate() fills the whole lattice, fill()
+ * just the slots a request names, and seed() inserts restored points,
+ * so check_model, the exhibits and the serving daemon's `sweep` and
+ * `evaluate` verbs share the points, and its snapshot writer walks
+ * them in key order (forEachEntry). OracleGovernor uses only the
+ * enumeration and the pool and never fills the store.
  *
  * Determinism: the device model is const and purely functional, each
- * configuration's result is written to its own pre-assigned slot, and
- * any randomness a sweep consumer needs must come from
- * sweepSubstream(seed, taskIndex), whose stream depends only on the
- * task index — never on which worker ran the task or in what order.
- * Parallel sweeps are therefore bit-identical to serial ones
+ * configuration's result is written to its own pre-assigned slot, a
+ * stored slot is never rewritten, and any randomness a sweep consumer
+ * needs must come from sweepSubstream(seed, taskIndex), whose stream
+ * depends only on the task index — never on which worker ran the task
+ * or in what order. Parallel sweeps are therefore bit-identical to
+ * serial ones, however their fills interleave
  * (tests/test_sweep_determinism.cpp).
  */
 
@@ -28,11 +34,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -53,105 +59,6 @@ struct SweepOptions
     uint64_t rngSeed = 0x4841524d4f4e4941ull; // "HARMONIA"
 };
 
-namespace detail
-{
-
-/**
- * The sweep memo key: (device name, kernel id string, iteration).
- * The device dimension exists so results evaluated on different
- * registered parts (sim/device_registry.hh) can never collide, even
- * when caches from several per-device sweeps are merged or compared
- * by key downstream (the serving daemon's point cache shares this
- * key type across its per-device states).
- */
-struct SweepKey
-{
-    std::string device;   ///< GpuDevice::name() of the part.
-    std::string kernelId; ///< "App.Kernel".
-    int iteration;
-
-    bool operator==(const SweepKey &other) const = default;
-};
-
-/**
- * Transparent view of a SweepKey. Lookups hash the device name and
- * the profile's app and name segments directly — byte-compatible
- * with hashing the stored key — so a cache hit allocates nothing.
- */
-struct SweepKeyView
-{
-    std::string_view device;
-    std::string_view app;
-    std::string_view name;
-    int iteration;
-};
-
-struct SweepKeyHash
-{
-    using is_transparent = void;
-
-    static size_t mix(size_t h, std::string_view s)
-    {
-        for (const char c : s)
-            h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-        return h;
-    }
-
-    static size_t finish(size_t h, int iteration)
-    {
-        h = mix(h, std::string_view("#"));
-        const auto it = static_cast<uint64_t>(iteration);
-        for (int shift = 0; shift < 64; shift += 8)
-            h = (h ^ ((it >> shift) & 0xff)) * 0x100000001b3ull;
-        return h;
-    }
-
-    size_t operator()(const SweepKey &key) const
-    {
-        size_t h = mix(0xcbf29ce484222325ull, key.device);
-        h = mix(h, std::string_view("/"));
-        h = mix(h, key.kernelId);
-        return finish(h, key.iteration);
-    }
-
-    size_t operator()(const SweepKeyView &key) const
-    {
-        size_t h = mix(0xcbf29ce484222325ull, key.device);
-        h = mix(h, std::string_view("/"));
-        h = mix(h, key.app);
-        h = mix(h, std::string_view("."));
-        h = mix(h, key.name);
-        return finish(h, key.iteration);
-    }
-};
-
-struct SweepKeyEqual
-{
-    using is_transparent = void;
-
-    bool operator()(const SweepKey &a, const SweepKey &b) const
-    {
-        return a == b;
-    }
-
-    bool operator()(const SweepKeyView &a, const SweepKey &b) const
-    {
-        const std::string_view id = b.kernelId;
-        return a.iteration == b.iteration && a.device == b.device &&
-               id.size() == a.app.size() + 1 + a.name.size() &&
-               id.substr(0, a.app.size()) == a.app &&
-               id[a.app.size()] == '.' &&
-               id.substr(a.app.size() + 1) == a.name;
-    }
-
-    bool operator()(const SweepKey &a, const SweepKeyView &b) const
-    {
-        return operator()(b, a);
-    }
-};
-
-} // namespace detail
-
 /**
  * Deterministic per-task RNG substream: the generator for task
  * @p taskIndex depends only on (@p baseSeed, @p taskIndex). Tasks may
@@ -164,12 +71,41 @@ Rng sweepSubstream(uint64_t baseSeed, uint64_t taskIndex);
 
 /**
  * The design-space sweep engine: canonical enumeration + parallel,
- * memoized evaluation of one kernel invocation across all 448
- * configurations.
+ * stored evaluation of one kernel invocation across the lattice.
  */
 class ConfigSweep
 {
   public:
+    /** Where a stored lattice point came from. */
+    enum class Slot : uint8_t
+    {
+        Absent,
+        Computed, ///< Evaluated by this process.
+        Restored, ///< Inserted by seed() from a durable snapshot.
+    };
+
+    /** One (kernel, iteration)'s lattice: results[i] and slots[i]
+     * belong to configs()[i]; results of absent slots are
+     * value-initialized placeholders. */
+    struct Lattice
+    {
+        explicit Lattice(size_t points)
+            : results(points), slots(points, Slot::Absent)
+        {
+        }
+
+        std::vector<KernelResult> results;
+        std::vector<Slot> slots;
+    };
+
+    /** How one fill served its requested slots (repeats included). */
+    struct FillCounts
+    {
+        size_t computed = 0; ///< Absent slots evaluated by this fill.
+        size_t cached = 0;   ///< Served from earlier computed points.
+        size_t restored = 0; ///< Served from seeded snapshot points.
+    };
+
     explicit ConfigSweep(const GpuDevice &device,
                          SweepOptions options = {});
 
@@ -191,27 +127,49 @@ class ConfigSweep
 
     /**
      * Evaluate @p profile's iteration @p iteration at every
-     * configuration, in parallel, memoized by (kernel id, iteration).
-     * The returned reference stays valid for the sweep's lifetime.
+     * configuration, in parallel, filling only the slots the store
+     * does not hold yet; a lattice with none stored takes one
+     * canonical-order runLattice. The returned reference stays valid
+     * until clearCache().
      */
     const std::vector<KernelResult> &evaluate(const KernelProfile &profile,
                                               int iteration) const;
 
-    /** One cached/computed result by configuration. */
+    /** One stored/computed result by configuration. */
     const KernelResult &at(const KernelProfile &profile, int iteration,
                            const HardwareConfig &cfg) const;
 
     /**
-     * Memoized result vector for (@p profile, @p iteration) when it is
-     * already cached, nullptr otherwise — never computes. Lets layers
-     * with their own partial-evaluation path (the serving daemon's
-     * `evaluate` verb) harvest a full-lattice result for free without
-     * committing to a 448-point run on a miss. Counts as a cache hit
-     * when present; a miss is not recorded (the caller decides how to
-     * compute).
+     * The slot-subset evaluate(): compute whichever of @p slots
+     * (configs() indices, repeats allowed) are absent in one
+     * runLattice and store them. Only those slots of the returned
+     * lattice-sized vector are guaranteed filled. A fill that
+     * computes nothing is a cache hit, any other a miss.
      */
-    const std::vector<KernelResult> *peek(const KernelProfile &profile,
-                                          int iteration) const;
+    const std::vector<KernelResult> &
+    fill(const KernelProfile &profile, int iteration,
+         const std::vector<size_t> &slots,
+         FillCounts *counts = nullptr) const;
+
+    /** fill() against a caller-owned @p lattice instead of the store
+     * (which it neither reads nor counts in). */
+    FillCounts fillInto(const KernelProfile &profile, int iteration,
+                        const std::vector<size_t> &slots,
+                        Lattice &lattice) const;
+
+    /** Insert restored points: results[i] at configs() index
+     * slots[i], marked Restored. Slots already stored are kept. */
+    void seed(const std::string &kernelId, int iteration,
+              const std::vector<uint32_t> &slots,
+              const std::vector<KernelResult> &results) const;
+
+    /** Visit every stored lattice in (kernel id, iteration) order.
+     * The store stays locked for the walk, so each lattice is seen
+     * whole: @p visit must not call back into this sweep. */
+    void forEachEntry(
+        const std::function<void(const std::string &kernelId,
+                                 int iteration, const Lattice &)>
+            &visit) const;
 
     /** RNG substream for task @p taskIndex under options().rngSeed. */
     Rng rngFor(uint64_t taskIndex) const
@@ -222,31 +180,52 @@ class ConfigSweep
     /** The pool driving this sweep (shared with cooperating layers). */
     ThreadPool &pool() const { return *pool_; }
 
-    /** Cache statistics (evaluate() calls served from memo / computed). */
+    /** Store statistics: evaluate()/fill() calls served entirely from
+     * stored points (hits) or computing at least one (misses), and
+     * the stored (kernel, iteration) lattices. */
     size_t cacheHits() const;
     size_t cacheMisses() const;
     size_t cacheEntries() const;
 
-    /** Drop all memoized results (statistics are kept). */
+    /** Drop all stored points (statistics are kept). */
     void clearCache() const;
 
   private:
+    /** A stored lattice and the lock its fills take. */
+    struct Entry
+    {
+        explicit Entry(size_t points) : lattice(points) {}
+
+        std::mutex mutex;
+        Lattice lattice;
+    };
+
+    /** The store entry for (@p kernelId, @p iteration), created
+     * empty on first touch; map nodes never move. */
+    Entry &entry(std::string kernelId, int iteration) const;
+
+    /** fillInto() over @p slots, or every slot when null. */
+    FillCounts fillSlots(const KernelProfile &profile, int iteration,
+                         const std::vector<size_t> *slots,
+                         Lattice &lattice) const;
+
+    /** fillSlots() on the store entry, under its lock, counted as a
+     * hit or a miss. */
+    const std::vector<KernelResult> &
+    fillStored(const KernelProfile &profile, int iteration,
+               const std::vector<size_t> *slots,
+               FillCounts *counts) const;
+
     const GpuDevice &device_;
     SweepOptions options_;
     std::vector<HardwareConfig> configs_;
     std::shared_ptr<ThreadPool> pool_;
 
-    // Reader-writer cache: concurrent evaluate() calls on memoized
-    // invocations take the shared lock only; the exclusive lock is
-    // held just to insert a freshly computed vector (values stay
-    // stable behind unique_ptr across rehashes). Hit/miss counters
-    // are atomics so shared-lock readers can bump them.
-    mutable std::shared_mutex mutex_;
-    mutable std::unordered_map<detail::SweepKey,
-                               std::unique_ptr<std::vector<KernelResult>>,
-                               detail::SweepKeyHash,
-                               detail::SweepKeyEqual>
-        cache_;
+    // mutex_ guards the map only; each entry's own mutex serializes
+    // the fills of that (kernel, iteration), so fills of different
+    // invocations run concurrently. Hit/miss counters are atomics.
+    mutable std::mutex mutex_;
+    mutable std::map<std::pair<std::string, int>, Entry> store_;
     mutable std::atomic<size_t> hits_ = 0;
     mutable std::atomic<size_t> misses_ = 0;
 };

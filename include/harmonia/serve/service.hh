@@ -35,7 +35,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "harmonia/core/governor.hh"
@@ -60,7 +59,10 @@ struct ServiceOptions
      * for the serve_latency exhibit; results are identical). */
     bool batching = true;
 
-    /** Reuse computed lattice points across requests. */
+    /** Serve and fill `evaluate` requests from the device's sweep
+     * point store. Off = every evaluate computes its points afresh
+     * (isolates batching in the serve_latency exhibit; results are
+     * identical). `sweep` requests always use the store. */
     bool cache = true;
 
     /** Per-request config-list cap (448 distinct points exist;
@@ -86,12 +88,12 @@ struct ServiceOptions
     std::string defaultDevice;
 
     /**
-     * Durable point-cache snapshot path (the daemon's --cache-file
+     * Durable point-store snapshot path (the daemon's --cache-file
      * flag). Empty disables persistence. When set (and `cache` is on),
      * the service loads previously evaluated points from the file at
      * startup — sections whose model fingerprint no longer matches
      * degrade to a logged cold start — and savePersistentCache()
-     * writes the current caches back crash-safely (temp file + atomic
+     * writes the current stores back crash-safely (temp file + atomic
      * rename). Responses are byte-identical with the snapshot
      * present, absent, or corrupt; only latency changes.
      */
@@ -112,7 +114,7 @@ class Service
 {
   public:
     explicit Service(ServiceOptions options = {});
-    ~Service(); // Out of line: PointCacheEntry is incomplete here.
+    ~Service(); // Out of line: DeviceState is incomplete here.
 
     const ServiceOptions &options() const { return options_; }
 
@@ -160,7 +162,7 @@ class Service
     JsonValue statsJson() const;
 
     /**
-     * Write every instantiated device's point cache to
+     * Write every instantiated device's point store to
      * ServiceOptions::cacheFile (no-op Ok when persistence is off).
      * The server calls this on drain; tests and embedders may call it
      * directly. Crash-safe: the previous snapshot survives any
@@ -171,7 +173,6 @@ class Service
   private:
     struct Pending;
     struct EvalGroup;
-    struct PointCacheEntry;
     struct DeviceState;
     struct PersistentCache;
 
@@ -192,9 +193,6 @@ class Service
     JsonValue evaluateResultJson(const DeviceState &dev,
                                  const EvaluateParams &p,
                                  const std::vector<KernelResult> &full);
-    JsonValue evaluateResultJson(const DeviceState &dev,
-                                 const EvaluateParams &p,
-                                 const PointCacheEntry &entry);
     Result<JsonValue> runGovern(const GovernParams &p);
     Result<JsonValue> runSweep(const SweepParams &p);
     Result<std::unique_ptr<Governor>>
@@ -210,11 +208,11 @@ class Service
     void hydrateFromSnapshot(DeviceState &dev);
 
     /** Decode @p dev's restored entry for (kernelId, iteration) — if
-     * one is pending — into the freshly created cache @p entry. */
+     * one is still pending — and seed it into the device's sweep
+     * store. Every verb that touches the store calls this first. */
     void materializeFromSnapshot(DeviceState &dev,
                                  const std::string &kernelId,
-                                 int iteration,
-                                 PointCacheEntry &entry);
+                                 int iteration);
 
     ServiceOptions options_;
 
@@ -238,7 +236,7 @@ class Service
     bool shutdownRequested_ = false;
 
     /** Durable-snapshot state; null when persistence is off.
-     * Incomplete here for the same reason as PointCacheEntry. */
+     * Incomplete here for the same reason as DeviceState. */
     std::unique_ptr<PersistentCache> persistent_;
 };
 

@@ -5,10 +5,12 @@
 # load across 16 concurrent connections so the reactor's
 # cross-connection micro-batching path is exercised — assert zero
 # error replies, then verify the daemon drains cleanly on SIGTERM.
-# The drain writes the persistent point-cache snapshot (--cache-file),
-# and a second daemon lifetime replays an identical burst against it
-# to prove a warm restart actually serves from the snapshot
-# (cache.persistent warm_hits > 0 in the stats verb).
+# The drain writes the persistent point-store snapshot (--cache-file),
+# and a second daemon lifetime replays identical seeded bursts against
+# it to prove a warm restart actually serves from the snapshot: every
+# sweep and evaluate lattice of the mixed burst comes off the file (the
+# default device's sweep_cache.misses stays 0) and the evaluate burst
+# reports snapshot hits (cache.persistent warm_hits > 0).
 # Used by ctest (serve_smoke) and the CI smoke stage.
 #
 # usage: serve_smoke.sh /path/to/harmoniad /path/to/harmonia_client
@@ -68,7 +70,7 @@ drain_daemon() {
 
 # Both listeners feed one reactor; port 0 = ephemeral, the daemon
 # prints the resolved port on startup. The SIGTERM drain at the end of
-# this lifetime writes the point caches to $SNAP.
+# this lifetime writes the point stores to $SNAP.
 "$HARMONIAD" --socket "$SOCK" --tcp 127.0.0.1:0 --jobs 2 \
     --cache-file "$SNAP" 2>"$DAEMON_LOG" &
 DAEMON_PID=$!
@@ -77,9 +79,10 @@ DAEMON_PID=$!
 # device model).
 wait_for_socket
 
-# Mixed-verb load: the client exits non-zero on any error reply.
+# Mixed-verb load: the client exits non-zero on any error reply. The
+# fixed seed makes it reproducible: the warm-restart stage replays it.
 "$CLIENT" --socket "$SOCK" --requests 100 --mix mixed --configs 8 \
-    --kernels 4 --stats
+    --kernels 4 --seed 11 --stats
 
 # A second, pure-evaluate burst exercises the micro-batcher. The fixed
 # seed makes the request set reproducible: the warm-restart stage
@@ -113,17 +116,31 @@ if [ ! -s "$SNAP" ]; then
 fi
 
 # Warm-restart stage: a second daemon lifetime on the same
-# --cache-file replays the seeded evaluate burst — every point it
-# needs was drained by the first lifetime, so the stats verb must
-# report snapshot hits (cache.persistent warm_hits > 0).
+# --cache-file replays the seeded mixed and evaluate bursts — every
+# point they need was drained by the first lifetime, so no sweep or
+# evaluate computes a point (the default device's sweep_cache.misses
+# is 0) and the stats verb reports snapshot hits
+# (cache.persistent warm_hits > 0).
 DAEMON_LOG="$WORK/daemon_warm.log"
 "$HARMONIAD" --socket "$SOCK" --jobs 2 --cache-file "$SNAP" \
     2>"$DAEMON_LOG" &
 DAEMON_PID=$!
 wait_for_socket
 
+"$CLIENT" --socket "$SOCK" --requests 100 --mix mixed --configs 8 \
+    --kernels 4 --seed 11 --quiet
 WARM_OUT=$("$CLIENT" --socket "$SOCK" --requests 40 --mix evaluate \
     --configs 16 --kernels 2 --seed 7 --quiet --stats)
+WARM_MISSES=$(printf '%s\n' "$WARM_OUT" |
+    sed -n 's/.*"active"[[:space:]]*:[[:space:]]*{[[:space:]]*"hd7970"[[:space:]]*:[[:space:]]*{[^}]*"sweep_cache"[[:space:]]*:[[:space:]]*{[^}]*"misses"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' |
+    head -n 1)
+if [ "$WARM_MISSES" != 0 ]; then
+    echo "serve_smoke: warm restart computed lattices" \
+        "(sweep_cache.misses='$WARM_MISSES', want 0)" >&2
+    printf '%s\n' "$WARM_OUT" >&2
+    cat "$DAEMON_LOG" >&2
+    exit 1
+fi
 WARM_HITS=$(printf '%s\n' "$WARM_OUT" |
     sed -n 's/.*"warm_hits"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' |
     head -n 1)
@@ -133,7 +150,8 @@ if [ -z "$WARM_HITS" ] || [ "$WARM_HITS" -eq 0 ]; then
     cat "$DAEMON_LOG" >&2
     exit 1
 fi
-echo "serve_smoke: warm restart served $WARM_HITS snapshot hits"
+echo "serve_smoke: warm restart served $WARM_HITS snapshot hits," \
+    "0 sweep_cache misses"
 
 drain_daemon
 

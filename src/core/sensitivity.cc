@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "harmonia/common/error.hh"
+#include "harmonia/common/thread_pool.hh"
 
 namespace harmonia
 {
@@ -28,24 +29,6 @@ binOf(double sensitivity)
         return SensitivityBin::Med;
     return SensitivityBin::High;
 }
-
-namespace
-{
-
-/** Shared normalization of the two-point finite difference. */
-double
-normalizedSensitivity(double tMax, double tRed,
-                      const HardwareConfig &maxCfg,
-                      const HardwareConfig &reduced, Tunable tunable)
-{
-    panicIf(tMax <= 0.0 || tRed <= 0.0,
-            "measureTunableSensitivity: non-positive execution time");
-    const double xRatio = static_cast<double>(maxCfg.get(tunable)) /
-                          static_cast<double>(reduced.get(tunable));
-    return (tRed / tMax - 1.0) / (xRatio - 1.0);
-}
-
-} // namespace
 
 HardwareConfig
 sensitivityReducedConfig(const ConfigSpace &space, Tunable tunable)
@@ -79,23 +62,12 @@ measureTunableSensitivity(const GpuDevice &device,
     const KernelPhase phase = profile.phase(iteration);
     const double tMax = device.run(profile, phase, maxCfg).time();
     const double tRed = device.run(profile, phase, reduced).time();
-    return normalizedSensitivity(tMax, tRed, maxCfg, reduced, tunable);
-}
+    panicIf(tMax <= 0.0 || tRed <= 0.0,
+            "measureTunableSensitivity: non-positive execution time");
 
-double
-measureTunableSensitivity(const ConfigSweep &sweep,
-                          const KernelProfile &profile, int iteration,
-                          Tunable tunable)
-{
-    const ConfigSpace &space = sweep.device().space();
-    const HardwareConfig maxCfg = space.maxConfig();
-    const HardwareConfig reduced =
-        sensitivityReducedConfig(space, tunable);
-
-    const auto &results = sweep.evaluate(profile, iteration);
-    const double tMax = results[sweep.indexOf(maxCfg)].time();
-    const double tRed = results[sweep.indexOf(reduced)].time();
-    return normalizedSensitivity(tMax, tRed, maxCfg, reduced, tunable);
+    const double xRatio = static_cast<double>(maxCfg.get(tunable)) /
+                          static_cast<double>(reduced.get(tunable));
+    return (tRed / tMax - 1.0) / (xRatio - 1.0);
 }
 
 double
@@ -151,22 +123,6 @@ measureSensitivities(const GpuDevice &device, const KernelProfile &profile,
                                                 iteration,
                                                 Tunable::ComputeFreq);
     out.memBandwidth = measureTunableSensitivity(device, profile,
-                                                 iteration,
-                                                 Tunable::MemFreq);
-    return out;
-}
-
-SensitivityVector
-measureSensitivities(const ConfigSweep &sweep,
-                     const KernelProfile &profile, int iteration)
-{
-    SensitivityVector out;
-    out.cuCount = measureTunableSensitivity(sweep, profile, iteration,
-                                            Tunable::CuCount);
-    out.computeFreq = measureTunableSensitivity(sweep, profile,
-                                                iteration,
-                                                Tunable::ComputeFreq);
-    out.memBandwidth = measureTunableSensitivity(sweep, profile,
                                                  iteration,
                                                  Tunable::MemFreq);
     return out;

@@ -48,40 +48,116 @@ ConfigSweep::indexOf(const HardwareConfig &cfg) const
     return device_.space().indexOf(cfg);
 }
 
+ConfigSweep::Entry &
+ConfigSweep::entry(std::string kernelId, int iteration) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return store_
+        .try_emplace(std::make_pair(std::move(kernelId), iteration),
+                     configs_.size())
+        .first->second;
+}
+
+ConfigSweep::FillCounts
+ConfigSweep::fillSlots(const KernelProfile &profile, int iteration,
+                       const std::vector<size_t> *slots,
+                       Lattice &lattice) const
+{
+    FillCounts counts;
+    std::vector<size_t> missing;
+    auto claim = [&](size_t slot) {
+        panicIf(slot >= lattice.slots.size(), "ConfigSweep: slot ", slot,
+                " outside the ", lattice.slots.size(), "-point lattice");
+        switch (lattice.slots[slot]) {
+          case Slot::Absent:
+            // Claimed now, so a repeat later in the list is cached.
+            lattice.slots[slot] = Slot::Computed;
+            missing.push_back(slot);
+            break;
+          case Slot::Computed:
+            ++counts.cached;
+            break;
+          case Slot::Restored:
+            ++counts.restored;
+            break;
+        }
+    };
+    if (slots) {
+        for (const size_t slot : *slots)
+            claim(slot);
+    } else {
+        for (size_t slot = 0; slot < configs_.size(); ++slot)
+            claim(slot);
+    }
+    counts.computed = missing.size();
+    if (missing.empty())
+        return counts;
+
+    // Each index writes only its own slot, so the result is
+    // independent of scheduling and of which fill computed it.
+    const KernelPhase phase = profile.phase(iteration);
+    try {
+        if (missing.size() == configs_.size()) {
+            // Nothing was stored: one canonical-order lattice run.
+            device_.runLattice(profile, phase, configs_,
+                               lattice.results.data(), pool_.get());
+        } else {
+            std::vector<HardwareConfig> configs;
+            configs.reserve(missing.size());
+            for (const size_t slot : missing)
+                configs.push_back(configs_[slot]);
+            std::vector<KernelResult> computed(missing.size());
+            device_.runLattice(profile, phase, configs, computed.data(),
+                               pool_.get());
+            for (size_t i = 0; i < missing.size(); ++i)
+                lattice.results[missing[i]] = computed[i];
+        }
+    } catch (...) {
+        for (const size_t slot : missing)
+            lattice.slots[slot] = Slot::Absent;
+        throw;
+    }
+    return counts;
+}
+
+const std::vector<KernelResult> &
+ConfigSweep::fillStored(const KernelProfile &profile, int iteration,
+                        const std::vector<size_t> *slots,
+                        FillCounts *counts) const
+{
+    Entry &e = entry(profile.id(), iteration);
+    // Held across the lattice run: a concurrent fill of the same
+    // invocation waits for these points instead of recomputing them.
+    std::lock_guard<std::mutex> lock(e.mutex);
+    const FillCounts filled = fillSlots(profile, iteration, slots,
+                                        e.lattice);
+    (filled.computed ? misses_ : hits_)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (counts)
+        *counts = filled;
+    return e.lattice.results;
+}
+
 const std::vector<KernelResult> &
 ConfigSweep::evaluate(const KernelProfile &profile, int iteration) const
 {
-    // Heterogeneous probe: hashes the device/id segments in place, so
-    // the hot path (repeated oracle/figure lookups) never allocates.
-    const detail::SweepKeyView view{device_.name(), profile.app,
-                                    profile.name, iteration};
-    {
-        std::shared_lock<std::shared_mutex> lock(mutex_);
-        auto it = cache_.find(view);
-        if (it != cache_.end()) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            return *it->second;
-        }
-    }
+    return fillStored(profile, iteration, nullptr, nullptr);
+}
 
-    // Compute outside the lock: a concurrent evaluate() of another
-    // key must not serialize on this one. Each index writes only its
-    // own slot, so the result is independent of scheduling.
-    const KernelPhase phase = profile.phase(iteration);
-    auto results =
-        std::make_unique<std::vector<KernelResult>>(configs_.size());
-    device_.runLattice(profile, phase, configs_, results->data(),
-                       pool_.get());
+const std::vector<KernelResult> &
+ConfigSweep::fill(const KernelProfile &profile, int iteration,
+                  const std::vector<size_t> &slots,
+                  FillCounts *counts) const
+{
+    return fillStored(profile, iteration, &slots, counts);
+}
 
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    auto [it, inserted] = cache_.emplace(
-        detail::SweepKey{device_.name(), profile.id(), iteration},
-        std::move(results));
-    if (inserted)
-        misses_.fetch_add(1, std::memory_order_relaxed);
-    else
-        hits_.fetch_add(1, std::memory_order_relaxed); // Raced; theirs won.
-    return *it->second;
+ConfigSweep::FillCounts
+ConfigSweep::fillInto(const KernelProfile &profile, int iteration,
+                      const std::vector<size_t> &slots,
+                      Lattice &lattice) const
+{
+    return fillSlots(profile, iteration, &slots, lattice);
 }
 
 const KernelResult &
@@ -91,17 +167,36 @@ ConfigSweep::at(const KernelProfile &profile, int iteration,
     return evaluate(profile, iteration)[indexOf(cfg)];
 }
 
-const std::vector<KernelResult> *
-ConfigSweep::peek(const KernelProfile &profile, int iteration) const
+void
+ConfigSweep::seed(const std::string &kernelId, int iteration,
+                  const std::vector<uint32_t> &slots,
+                  const std::vector<KernelResult> &results) const
 {
-    const detail::SweepKeyView view{device_.name(), profile.app,
-                                    profile.name, iteration};
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    auto it = cache_.find(view);
-    if (it == cache_.end())
-        return nullptr;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second.get();
+    panicIf(slots.size() != results.size(),
+            "ConfigSweep::seed: slot and result counts differ");
+    Entry &e = entry(kernelId, iteration);
+    std::lock_guard<std::mutex> lock(e.mutex);
+    for (size_t i = 0; i < slots.size(); ++i) {
+        const uint32_t slot = slots[i];
+        panicIf(slot >= configs_.size(), "ConfigSweep::seed: slot ", slot,
+                " outside the ", configs_.size(), "-point lattice");
+        if (e.lattice.slots[slot] != Slot::Absent)
+            continue;
+        e.lattice.results[slot] = results[i];
+        e.lattice.slots[slot] = Slot::Restored;
+    }
+}
+
+void
+ConfigSweep::forEachEntry(
+    const std::function<void(const std::string &, int, const Lattice &)>
+        &visit) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto &[key, e] : store_) {
+        std::lock_guard<std::mutex> entryLock(e.mutex);
+        visit(key.first, key.second, e.lattice);
+    }
 }
 
 size_t
@@ -119,15 +214,15 @@ ConfigSweep::cacheMisses() const
 size_t
 ConfigSweep::cacheEntries() const
 {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return cache_.size();
+    std::lock_guard<std::mutex> lock(mutex_);
+    return store_.size();
 }
 
 void
 ConfigSweep::clearCache() const
 {
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    cache_.clear();
+    std::lock_guard<std::mutex> lock(mutex_);
+    store_.clear();
 }
 
 } // namespace harmonia

@@ -7,9 +7,9 @@
  * Drives GpuDevice::runLattice (and, for the naive rows, per-config
  * GpuDevice::run under the same thread pool) straight into a reused
  * result buffer, so the measurement isolates the evaluation kernels
- * from ConfigSweep's memoization layer — whose per-lattice result
- * allocation is cache-feature overhead, not evaluation work, and
- * whose cost would otherwise dominate run-to-run noise.
+ * from ConfigSweep's point store — whose per-lattice allocation is
+ * store overhead, not evaluation work, and whose cost would
+ * otherwise dominate run-to-run noise.
  *
  * Reports kernel-invocation lattices per second (one lattice = one
  * (kernel, iteration) evaluated at all 448 configurations) and the

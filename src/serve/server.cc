@@ -692,7 +692,7 @@ Server::run()
     }
 
     // Drain is the snapshot point: every in-flight request has been
-    // answered, so the point caches are quiescent. A failed save is
+    // answered, so the point stores are quiescent. A failed save is
     // logged but does not fail the drain — the previous snapshot (if
     // any) is still intact on disk.
     const Status saved = service_.savePersistentCache();

@@ -79,22 +79,6 @@ struct Service::EvalGroup
     std::vector<size_t> members; ///< Indices into the pending vector.
 };
 
-/** Sparse per-(device, kernel, iteration) lattice results. */
-struct Service::PointCacheEntry
-{
-    explicit PointCacheEntry(size_t points)
-        : results(points), present(points, 0), fromSnapshot(points, 0)
-    {
-    }
-
-    std::vector<KernelResult> results;
-    std::vector<char> present;
-
-    /** 1 where the point was restored from the durable snapshot
-     * rather than computed this process (warm/cold hit stats). */
-    std::vector<char> fromSnapshot;
-};
-
 /**
  * Durable-snapshot bookkeeping (src/serve/snapshot.hh): the sections
  * loaded at startup that no instantiated device has consumed yet,
@@ -138,10 +122,10 @@ struct Service::PersistentCache
 
 /**
  * Everything the service holds per device: the model, its sweep
- * engine (whose memo is therefore partitioned per device), the
- * partial-lattice point cache, the lazily trained predictor, and
- * request accounting for the `stats` verb. Non-movable — the sweep
- * holds a reference to the device — hence unique_ptr storage.
+ * engine (whose point store is therefore partitioned per device), the
+ * lazily trained predictor, and request accounting for the `stats`
+ * verb. Non-movable — the sweep holds a reference to the device —
+ * hence unique_ptr storage.
  */
 struct Service::DeviceState
 {
@@ -153,16 +137,6 @@ struct Service::DeviceState
 
     GpuDevice device;
     ConfigSweep sweep;
-
-    /**
-     * Partial-lattice result cache: SweepKey -> sparse lattice-sized
-     * vector. Reuses the sweep memo's transparent hash; a full-lattice
-     * result in this device's sweep memo supersedes it.
-     */
-    std::unordered_map<detail::SweepKey,
-                       std::unique_ptr<PointCacheEntry>,
-                       detail::SweepKeyHash, detail::SweepKeyEqual>
-        points;
 
     // The predictor must outlive any governor pointing at it; sessions
     // are torn down before device states (member order in Service).
@@ -178,10 +152,10 @@ struct Service::DeviceState
     uint64_t snapshotPoints = 0;  ///< Points restored from disk.
 
     /** Snapshot entries that passed this device's fingerprint check
-     * but have not been touched by a request yet. Decoded (and moved
-     * into `points`) on first touch; whatever is still here at save
-     * time is decoded then, so untouched warmth is never dropped.
-     * Ordered map: savePersistentCache() iterates it. */
+     * but have not been touched by a request yet. Decoded and seeded
+     * into the sweep's store on first touch; whatever is still here
+     * at save time is seeded then, so untouched warmth is never
+     * dropped. */
     std::map<std::pair<std::string, int>, EntryRef> lazyEntries;
 };
 
@@ -192,7 +166,8 @@ Service::Service(ServiceOptions options) : options_(std::move(options))
     // load failure — absent file, truncation, bit flips, version
     // skew — degrades to a logged cold start, never a crash, and
     // never changes a response byte. Persistence rides on the point
-    // cache, so --no-cache disables it too.
+    // store, which --no-cache keeps evaluates away from, so it
+    // disables persistence too.
     if (!options_.cacheFile.empty() && options_.cache) {
         persistent_ = std::make_unique<PersistentCache>();
         persistent_->path = options_.cacheFile;
@@ -338,14 +313,6 @@ Service::evaluateResultJson(const DeviceState &dev,
     return out;
 }
 
-JsonValue
-Service::evaluateResultJson(const DeviceState &dev,
-                            const EvaluateParams &p,
-                            const PointCacheEntry &entry)
-{
-    return evaluateResultJson(dev, p, entry.results);
-}
-
 void
 Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
 {
@@ -354,112 +321,53 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
     const KernelProfile &profile = *group.profile;
     const int iteration = group.iteration;
 
-    uint64_t pointsRequested = 0;
+    // The group's requested slots, repeats included: one fill
+    // computes the deduplicated union of the absent ones in a single
+    // batched lattice run.
+    const size_t latticeSize = dev.sweep.configs().size();
+    std::vector<size_t> slots;
     for (const size_t idx : group.members) {
         const EvaluateParams &p = pending[idx].req.evaluate;
-        pointsRequested += p.fullLattice ? dev.sweep.configs().size()
-                                         : p.configs.size();
-    }
-
-    uint64_t latticeRuns = 0;
-    uint64_t pointsComputed = 0;
-
-    // Fast path: the full lattice for this invocation is already in
-    // the sweep memo (a prior `sweep` request or `configs:"all"`).
-    const std::vector<KernelResult> *full =
-        dev.sweep.peek(profile, iteration);
-
-    const bool wantFull =
-        std::any_of(group.members.begin(), group.members.end(),
-                    [&](size_t idx) {
-                        return pending[idx].req.evaluate.fullLattice;
-                    });
-
-    if (!full && wantFull) {
-        // Someone asked for the whole lattice anyway: let the sweep
-        // engine compute and memoize it once.
-        full = &dev.sweep.evaluate(profile, iteration);
-        latticeRuns = 1;
-        pointsComputed = full->size();
-    }
-
-    if (full) {
-        for (const size_t idx : group.members) {
-            Pending &p = pending[idx];
-            p.response = makeResultResponse(
-                p.id, Verb::Evaluate,
-                evaluateResultJson(dev, p.req.evaluate, *full));
-            p.done = true;
-        }
-    } else {
-        // Partial-lattice path: compute the deduplicated union of the
-        // group's missing points in one batched lattice run.
-        PointCacheEntry *entry = nullptr;
-        std::unique_ptr<PointCacheEntry> scratch;
-        if (options_.cache) {
-            auto &slot = dev.points[detail::SweepKey{
-                dev.device.name(), profile.id(), iteration}];
-            if (!slot) {
-                slot = std::make_unique<PointCacheEntry>(
-                    dev.sweep.configs().size());
-                materializeFromSnapshot(dev, profile.id(), iteration,
-                                        *slot);
-            }
-            entry = slot.get();
+        if (p.fullLattice) {
+            for (size_t slot = 0; slot < latticeSize; ++slot)
+                slots.push_back(slot);
         } else {
-            scratch = std::make_unique<PointCacheEntry>(
-                dev.sweep.configs().size());
-            entry = scratch.get();
+            for (const HardwareConfig &cfg : p.configs)
+                slots.push_back(dev.sweep.indexOf(cfg));
         }
+    }
 
-        std::vector<size_t> missing;
-        std::vector<HardwareConfig> missingConfigs;
-        for (const size_t idx : group.members) {
-            for (const HardwareConfig &cfg :
-                 pending[idx].req.evaluate.configs) {
-                const size_t slot = dev.sweep.indexOf(cfg);
-                if (entry->present[slot]) {
-                    if (persistent_) {
-                        if (entry->fromSnapshot[slot])
-                            ++persistent_->warmHits;
-                        else
-                            ++persistent_->coldHits;
-                    }
-                    continue;
-                }
-                entry->present[slot] = 1; // Marks "queued" too.
-                missing.push_back(slot);
-                missingConfigs.push_back(cfg);
-            }
-        }
+    ConfigSweep::FillCounts counts;
+    const std::vector<KernelResult> *results = nullptr;
+    std::optional<ConfigSweep::Lattice> scratch;
+    if (options_.cache) {
+        materializeFromSnapshot(dev, profile.id(), iteration);
+        results = &dev.sweep.fill(profile, iteration, slots, &counts);
+    } else {
+        scratch.emplace(latticeSize);
+        counts = dev.sweep.fillInto(profile, iteration, slots, *scratch);
+        results = &scratch->results;
+    }
+    if (persistent_) {
+        persistent_->warmHits += counts.restored;
+        persistent_->coldHits += counts.cached;
+    }
 
-        if (!missing.empty()) {
-            std::vector<KernelResult> computed(missing.size());
-            dev.device.runLattice(profile, profile.phase(iteration),
-                                  missingConfigs, computed.data(),
-                                  &dev.sweep.pool());
-            for (size_t i = 0; i < missing.size(); ++i)
-                entry->results[missing[i]] = computed[i];
-            latticeRuns = 1;
-            pointsComputed = missing.size();
-        }
-
-        for (const size_t idx : group.members) {
-            Pending &p = pending[idx];
-            p.response = makeResultResponse(
-                p.id, Verb::Evaluate,
-                evaluateResultJson(dev, p.req.evaluate, *entry));
-            p.done = true;
-        }
+    for (const size_t idx : group.members) {
+        Pending &p = pending[idx];
+        p.response = makeResultResponse(
+            p.id, Verb::Evaluate,
+            evaluateResultJson(dev, p.req.evaluate, *results));
+        p.done = true;
     }
 
     const double elapsed = microsSince(start);
     for (size_t i = 0; i < group.members.size(); ++i)
         metrics_.record(Verb::Evaluate, true, elapsed);
     metrics_.recordEvaluate(
-        latticeRuns,
+        counts.computed > 0 ? 1 : 0,
         group.members.size() > 1 ? group.members.size() : 0,
-        pointsComputed, pointsRequested - pointsComputed);
+        counts.computed, slots.size() - counts.computed);
 
     // Fan-in accounting: how many distinct transport connections fed
     // this fused group. Purely observational (stats verb).
@@ -611,8 +519,7 @@ Service::hydrateFromSnapshot(DeviceState &dev)
 void
 Service::materializeFromSnapshot(DeviceState &dev,
                                  const std::string &kernelId,
-                                 int iteration,
-                                 PointCacheEntry &entry)
+                                 int iteration)
 {
     if (dev.lazyEntries.empty())
         return;
@@ -637,12 +544,8 @@ Service::materializeFromSnapshot(DeviceState &dev,
                   << "; recomputing\n";
         return;
     }
-    for (size_t i = 0; i < decoded.slots.size(); ++i) {
-        const uint32_t idx = decoded.slots[i];
-        entry.results[idx] = decoded.results[i];
-        entry.present[idx] = 1;
-        entry.fromSnapshot[idx] = 1;
-    }
+    dev.sweep.seed(decoded.kernel, decoded.iteration, decoded.slots,
+                   decoded.results);
 }
 
 Status
@@ -663,54 +566,28 @@ Service::savePersistentCache()
                 state->device, state->sweep.configs());
         section.fingerprint = *state->snapshotFingerprint;
 
-        // The point cache is an unordered_map and snapshot bytes must
-        // be deterministic: pull the entries out, then sort by
-        // (kernel, iteration).
-        std::vector<std::pair<const detail::SweepKey *,
-                              const PointCacheEntry *>>
-            cached;
-        cached.reserve(state->points.size());
-        for (auto it = state->points.begin();
-             it != state->points.end(); ++it)
-            cached.emplace_back(&it->first, it->second.get());
-        std::sort(cached.begin(), cached.end(),
-                  [](const auto &a, const auto &b) {
-                      if (a.first->kernelId != b.first->kernelId)
-                          return a.first->kernelId < b.first->kernelId;
-                      return a.first->iteration < b.first->iteration;
-                  });
-
-        for (const auto &[key, entry] : cached) {
+        // Restored entries no request touched are still warmth worth
+        // keeping: seed them, so the store holds every point and its
+        // key-ordered walk makes the section bytes deterministic.
+        while (!state->lazyEntries.empty()) {
+            const auto key = state->lazyEntries.begin()->first;
+            materializeFromSnapshot(*state, key.first, key.second);
+        }
+        state->sweep.forEachEntry([&](const std::string &kernel,
+                                      int iteration,
+                                      const ConfigSweep::Lattice &lattice) {
             SnapshotEntry out;
-            out.kernel = key->kernelId;
-            out.iteration = key->iteration;
-            for (size_t i = 0; i < entry->present.size(); ++i) {
-                if (!entry->present[i])
+            out.kernel = kernel;
+            out.iteration = iteration;
+            for (size_t i = 0; i < lattice.slots.size(); ++i) {
+                if (lattice.slots[i] == ConfigSweep::Slot::Absent)
                     continue;
                 out.slots.push_back(static_cast<uint32_t>(i));
-                out.results.push_back(entry->results[i]);
+                out.results.push_back(lattice.results[i]);
             }
-            if (out.slots.empty())
-                continue;
-            section.entries.push_back(std::move(out));
-        }
-
-        // Restored entries no request touched are still warmth worth
-        // keeping: decode them now (their keys are disjoint from the
-        // live cache — materialization consumes the lazy entry).
-        for (const auto &[key, ref] : state->lazyEntries) {
-            SnapshotEntry out;
-            if (decodeEntry(ref, section.latticeSize, &out).ok())
+            if (!out.slots.empty())
                 section.entries.push_back(std::move(out));
-            else
-                ++persistent_->decodeFailures;
-        }
-        std::sort(section.entries.begin(), section.entries.end(),
-                  [](const SnapshotEntry &a, const SnapshotEntry &b) {
-                      if (a.kernel != b.kernel)
-                          return a.kernel < b.kernel;
-                      return a.iteration < b.iteration;
-                  });
+        });
         if (!section.entries.empty())
             snap.devices.push_back(std::move(section));
     }
@@ -919,6 +796,7 @@ Service::runSweep(const SweepParams &p)
     const ConfigSweep &sweep = dev.sweep;
     const OracleObjective obj = objective.value();
 
+    materializeFromSnapshot(dev, profile->id(), p.iteration);
     const std::vector<KernelResult> &results =
         sweep.evaluate(*profile, p.iteration);
     const std::vector<HardwareConfig> &configs = sweep.configs();
@@ -962,8 +840,8 @@ Service::runSweep(const SweepParams &p)
 }
 
 /**
- * The stats verb's `cache` block: the in-process point cache switch
- * plus everything observable about the durable snapshot layer.
+ * The stats verb's `cache` block: whether evaluates use the point
+ * store, plus everything observable about the durable snapshot layer.
  */
 JsonValue
 Service::cacheStatsJson() const
@@ -1038,9 +916,6 @@ Service::statsJson() const
              {"entries", JsonValue(static_cast<int64_t>(
                              defaultDevice_->sweep.cacheEntries()))},
          })},
-        {"point_cache_invocations",
-         JsonValue(
-             static_cast<int64_t>(defaultDevice_->points.size()))},
         {"trained", JsonValue(defaultDevice_->predictor.has_value())},
         {"jobs", JsonValue(options_.jobs)},
         {"batching", JsonValue(options_.batching)},
@@ -1048,9 +923,9 @@ Service::statsJson() const
     });
 
     // Per-device breakdown: every registered name, plus live counters
-    // for each state instantiated so far. The separate sweep/point
-    // cache blocks per device are the observable proof that caches
-    // are partitioned by device, never shared.
+    // for each state instantiated so far. The separate sweep_cache
+    // block per device is the observable proof that point stores are
+    // partitioned by device, never shared.
     JsonValue registered = JsonValue::array();
     for (const std::string &name : deviceNames())
         registered.push(JsonValue(name));
@@ -1080,8 +955,6 @@ Service::statsJson() const
                      {"entries", JsonValue(static_cast<int64_t>(
                                      state->sweep.cacheEntries()))},
                  })},
-                {"point_cache_invocations",
-                 JsonValue(static_cast<int64_t>(state->points.size()))},
                 {"snapshot",
                  JsonValue::object({
                      {"entries", JsonValue(static_cast<int64_t>(

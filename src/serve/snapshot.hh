@@ -1,11 +1,13 @@
 /**
  * @file
  * Durable evaluation-cache snapshots (docs/SERVING.md, "Persistent
- * cache"): a versioned, compact binary image of the per-device
- * partial-lattice point caches, written on daemon drain and loaded
- * lazily at startup so a restarted harmoniad serves previously
- * visited (kernel, iteration, config) points without re-paying the
- * lattice cost.
+ * cache"): a versioned, compact binary image of each device's point
+ * store (ConfigSweep, core/sweep.hh) — partial and full lattices
+ * alike, one entry per stored (kernel, iteration) in key order —
+ * written on daemon drain and loaded lazily at startup, so a
+ * restarted harmoniad serves previously visited (kernel, iteration,
+ * config) points without re-paying the lattice cost. Restored entries
+ * are seeded back into the store (ConfigSweep::seed) on first touch.
  *
  * File layout — a checksummed structural header followed by a blob of
  * entry bodies (all integers LEB128 varints unless noted):

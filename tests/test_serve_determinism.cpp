@@ -460,4 +460,78 @@ TEST(ServeDeterminism, ResponsesIndependentOfSnapshotState)
     std::remove(path.c_str());
 }
 
+/** Counter at @p path under a fresh `stats` reply's result. */
+int64_t
+statsCounter(Service &service, std::initializer_list<const char *> path)
+{
+    const JsonValue req = JsonValue::object({
+        {"schema", JsonValue(kRequestSchema)},
+        {"verb", JsonValue("stats")},
+    });
+    const Result<JsonValue> doc = parseJson(service.processLine(req.dump()));
+    EXPECT_TRUE(doc.ok());
+    const JsonValue *v = doc.ok() ? doc.value().find("result") : nullptr;
+    for (const char *key : path)
+        v = v && v->isObject() ? v->find(key) : nullptr;
+    EXPECT_NE(v, nullptr);
+    return v ? v->asInt() : -1;
+}
+
+// Full lattices persist: a `configs:"all"` evaluate lands in the same
+// per-device point store the snapshot writes, so a restarted service
+// serves it, and a `sweep` of it, straight off the file.
+TEST(ServeDeterminism, FullLatticesSurviveARestart)
+{
+    const std::string path = "/tmp/harmonia_full_snap_" +
+                             std::to_string(getpid()) + ".snap";
+    std::remove(path.c_str());
+    ServiceOptions opt;
+    opt.cacheFile = path;
+    const std::string kernel =
+        standardSuite().front().kernels.front().id();
+    const std::string evaluate = JsonValue::object({
+        {"schema", JsonValue(kRequestSchema)},
+        {"id", JsonValue(1)},
+        {"verb", JsonValue("evaluate")},
+        {"kernel", JsonValue(kernel)},
+        {"iteration", JsonValue(0)},
+        {"configs", JsonValue("all")},
+    }).dump();
+
+    std::string cold;
+    {
+        Service service(opt);
+        cold = service.processLine(evaluate);
+        ASSERT_TRUE(service.savePersistentCache().ok());
+    }
+    {
+        Service service(opt);
+        EXPECT_EQ(cold, service.processLine(evaluate));
+        EXPECT_EQ(statsCounter(service,
+                               {"metrics", "batching", "points_computed"}),
+                  0);
+        EXPECT_EQ(
+            statsCounter(service, {"cache", "persistent", "warm_hits"}),
+            448);
+    }
+    {
+        // The sweep verb seeds the store from the snapshot too.
+        Service service(opt);
+        const JsonValue sweep = JsonValue::object({
+            {"schema", JsonValue(kRequestSchema)},
+            {"verb", JsonValue("sweep")},
+            {"kernel", JsonValue(kernel)},
+            {"iteration", JsonValue(0)},
+        });
+        const Result<JsonValue> doc =
+            parseJson(service.processLine(sweep.dump()));
+        ASSERT_TRUE(doc.ok());
+        ASSERT_NE(doc.value().find("result"), nullptr);
+        EXPECT_EQ(statsCounter(service, {"devices", "active", "hd7970",
+                                         "sweep_cache", "misses"}),
+                  0);
+    }
+    std::remove(path.c_str());
+}
+
 } // namespace

@@ -229,6 +229,37 @@ TEST(ServeDevice, SweepLooksTheMemoUpOnce)
     EXPECT_EQ(sweepCache("misses"), 1);
 }
 
+TEST(ServeDevice, NoCacheEvaluatesBypassThePointStore)
+{
+    // --no-cache isolates batching: evaluates neither read nor fill
+    // the point store, even when a sweep already holds the lattice.
+    ServiceOptions opt;
+    opt.cache = false;
+    Service service(opt);
+    JsonValue sweep = request("sweep");
+    sweep.set("kernel", JsonValue(firstKernelId()));
+    ASSERT_TRUE(isOk(roundTrip(service, sweep)));
+
+    JsonValue evaluate = request("evaluate");
+    evaluate.set("kernel", JsonValue(firstKernelId()));
+    evaluate.set("configs", JsonValue("all"));
+    ASSERT_TRUE(isOk(roundTrip(service, evaluate)));
+    JsonValue other = evaluate;
+    other.set("iteration", JsonValue(1));
+    ASSERT_TRUE(isOk(roundTrip(service, other)));
+
+    const JsonValue stats = roundTrip(service, request("stats"));
+    const JsonValue *result = stats.find("result");
+    ASSERT_NE(result, nullptr) << stats.dump();
+    EXPECT_EQ(result->find("sweep_cache")->find("entries")->asInt(), 1);
+    EXPECT_EQ(result->find("sweep_cache")->find("hits")->asInt(), 0);
+    EXPECT_EQ(result->find("metrics")
+                  ->find("batching")
+                  ->find("points_computed")
+                  ->asInt(),
+              2 * 448);
+}
+
 TEST(ServeDevice, DefaultDeviceOptionRebasesDevicelessRequests)
 {
     ServiceOptions opt;

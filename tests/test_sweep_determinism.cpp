@@ -7,8 +7,9 @@
  * that down for every layer ported onto the sweep engine: oracle
  * search, sensitivity ground truth, training, and the full campaign,
  * each compared across 1, 2, and 8 worker threads with exact
- * (bitwise) double equality. Also covers the sweep memo cache's hit
- * accounting and the per-task RNG substream scheme.
+ * (bitwise) double equality. Also covers the point store: hit
+ * accounting, overlapping concurrent slot fills, seeded (restored)
+ * slots, and the per-task RNG substream scheme.
  */
 
 #include <gtest/gtest.h>
@@ -96,24 +97,6 @@ TEST(SweepDeterminism, SweepEvaluationBitIdenticalToDirectRuns)
         EXPECT_EQ(results[i].time(), direct.time());
         EXPECT_EQ(results[i].cardEnergy, direct.cardEnergy);
         EXPECT_EQ(results[i].ed2(), direct.ed2());
-    }
-}
-
-TEST(SweepDeterminism, SensitivitiesMatchDirectPathExactly)
-{
-    const auto suite = miniSuite();
-    for (int jobs : {1, 2, 8}) {
-        ConfigSweep sweep(device(), {.jobs = jobs});
-        for (const auto &app : suite) {
-            const KernelProfile &kernel = app.kernels.front();
-            const SensitivityVector direct =
-                measureSensitivities(device(), kernel, 0);
-            const SensitivityVector viaSweep =
-                measureSensitivities(sweep, kernel, 0);
-            EXPECT_EQ(direct.cuCount, viaSweep.cuCount);
-            EXPECT_EQ(direct.computeFreq, viaSweep.computeFreq);
-            EXPECT_EQ(direct.memBandwidth, viaSweep.memBandwidth);
-        }
     }
 }
 
@@ -226,6 +209,94 @@ TEST(SweepDeterminism, CacheHitAccountingOnRepeatedRuns)
     oracle.decide(kernel, 0);
     EXPECT_EQ(oracle.searches(), 1u);
     EXPECT_EQ(oracle.sweep().cacheEntries(), 0u);
+}
+
+TEST(SweepDeterminism, OverlappingSlotFillsMatchASerialLattice)
+{
+    // Four pool threads fill overlapping half-lattice slices of one
+    // invocation, then a full evaluate() completes it. Whichever fill
+    // claims a slot computes it, exactly once, and the stored lattice
+    // must equal a serial canonical run bit for bit.
+    const auto suite = miniSuite();
+    const KernelProfile &kernel = suite[1].kernels.front();
+    ConfigSweep sweep(device(), {.jobs = 4});
+    const size_t n = sweep.configs().size();
+
+    std::vector<KernelResult> serial(n);
+    device().runLattice(kernel, kernel.phase(1), sweep.configs(),
+                        serial.data());
+
+    constexpr size_t kFills = 4;
+    std::vector<std::vector<size_t>> slices(kFills);
+    for (size_t t = 0; t < kFills; ++t)
+        for (size_t i = 0; i < n / 2; ++i)
+            slices[t].push_back((t * n / 8 + 3 * i) % n);
+    std::vector<ConfigSweep::FillCounts> counts(kFills);
+    sweep.pool().parallelFor(kFills, 1, [&](size_t t) {
+        sweep.fill(kernel, 1, slices[t], &counts[t]);
+    });
+
+    size_t computed = 0;
+    for (size_t t = 0; t < kFills; ++t) {
+        EXPECT_EQ(counts[t].computed + counts[t].cached,
+                  slices[t].size());
+        EXPECT_EQ(counts[t].restored, 0u);
+        computed += counts[t].computed;
+    }
+    EXPECT_LE(computed, n);
+    EXPECT_EQ(sweep.cacheHits() + sweep.cacheMisses(), kFills);
+
+    const std::vector<KernelResult> &full = sweep.evaluate(kernel, 1);
+    EXPECT_EQ(sweep.cacheEntries(), 1u);
+    ASSERT_EQ(full.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(full[i].time(), serial[i].time()) << i;
+        EXPECT_EQ(full[i].power.total(), serial[i].power.total()) << i;
+        EXPECT_EQ(full[i].cardEnergy, serial[i].cardEnergy) << i;
+        EXPECT_EQ(full[i].gpuEnergy, serial[i].gpuEnergy) << i;
+        EXPECT_EQ(full[i].memEnergy, serial[i].memEnergy) << i;
+    }
+}
+
+TEST(SweepDeterminism, SeededSlotsAreServedNotRecomputed)
+{
+    const auto suite = miniSuite();
+    const KernelProfile &kernel = suite.front().kernels.front();
+    ConfigSweep sweep(device(), {.jobs = 1});
+    const std::vector<KernelResult> reference =
+        ConfigSweep(device(), {.jobs = 1}).evaluate(kernel, 0);
+
+    // Restore three points, then ask for two of them plus one more.
+    sweep.seed(kernel.id(), 0, {0, 5, 9},
+               {reference[0], reference[5], reference[9]});
+    ConfigSweep::FillCounts counts;
+    sweep.fill(kernel, 0, {5, 9, 9, 7}, &counts);
+    EXPECT_EQ(counts.restored, 3u); // 5, 9 and the repeated 9.
+    EXPECT_EQ(counts.computed, 1u);
+    EXPECT_EQ(counts.cached, 0u);
+    EXPECT_EQ(sweep.cacheMisses(), 1u);
+
+    // The full lattice now computes only the slots still absent.
+    const auto &full = sweep.evaluate(kernel, 0);
+    EXPECT_EQ(sweep.cacheMisses(), 2u);
+    for (size_t i = 0; i < full.size(); ++i)
+        EXPECT_EQ(full[i].ed2(), reference[i].ed2()) << i;
+
+    size_t restored = 0;
+    sweep.forEachEntry([&](const std::string &id, int iteration,
+                           const ConfigSweep::Lattice &lattice) {
+        EXPECT_EQ(id, kernel.id());
+        EXPECT_EQ(iteration, 0);
+        for (const ConfigSweep::Slot slot : lattice.slots) {
+            EXPECT_NE(slot, ConfigSweep::Slot::Absent);
+            restored += slot == ConfigSweep::Slot::Restored;
+        }
+    });
+    EXPECT_EQ(restored, 3u);
+
+    // A complete lattice is a hit, whatever mix of slots it holds.
+    sweep.evaluate(kernel, 0);
+    EXPECT_EQ(sweep.cacheHits(), 1u);
 }
 
 TEST(SweepDeterminism, RngSubstreamsAreIndexDeterministic)

@@ -27,10 +27,11 @@
  *                     HARMONIA_JOBS; default 1).
  *   --no-batching     Disable evaluate micro-batching (one lattice
  *                     run per request; results are identical).
- *   --no-cache        Disable the cross-request result cache.
- *   --cache-file PATH Durable point-cache snapshot: load previously
+ *   --no-cache        Evaluates neither read nor fill the point
+ *                     store (isolates batching; sweeps still use it).
+ *   --cache-file PATH Durable point-store snapshot: load previously
  *                     evaluated lattice points from PATH at startup
- *                     (warm start) and write the caches back on
+ *                     (warm start) and write the stores back on
  *                     drain, crash-safely. Absent/corrupt/stale
  *                     files degrade to a logged cold start.
  *                     Responses are byte-identical either way.
