@@ -54,9 +54,6 @@ struct SweepOptions
 {
     /** Worker threads (incl. the caller); 1 = strictly serial. */
     int jobs = 1;
-
-    /** Base seed for per-task RNG substreams. */
-    uint64_t rngSeed = 0x4841524d4f4e4941ull; // "HARMONIA"
 };
 
 /**
@@ -170,12 +167,6 @@ class ConfigSweep
         const std::function<void(const std::string &kernelId,
                                  int iteration, const Lattice &)>
             &visit) const;
-
-    /** RNG substream for task @p taskIndex under options().rngSeed. */
-    Rng rngFor(uint64_t taskIndex) const
-    {
-        return sweepSubstream(options_.rngSeed, taskIndex);
-    }
 
     /** The pool driving this sweep (shared with cooperating layers). */
     ThreadPool &pool() const { return *pool_; }

@@ -100,40 +100,21 @@ class MemorySystem
      * resolveBandwidth() with the L2->MC crossing ceiling already
      * evaluated: resolveBandwidth(m, c, d) ==
      * resolveWithCrossingCap(m, d, crossing().maxBandwidth(c)),
-     * bitwise. The naive path's single-point solve.
+     * bitwise. This single-point solve is the memory system's one
+     * reference: zero demand returns the unloaded latency, demand that
+     * saturates min(bus peak, @p crossingCapBps) returns that ceiling,
+     * and anything else bisects the concurrency fixed point on
+     * [0, bus peak] for 48 iterations. The naive GpuDevice::run() path
+     * reaches it through resolveBandwidth().
      */
     BandwidthResult resolveWithCrossingCap(double memFreqMhz,
                                            const MemDemand &demand,
                                            double crossingCapBps) const;
 
-    /**
-     * Batched resolveWithCrossingCap: lane i resolves @p demand with
-     * outstandingRequests = @p outstanding[i] against crossing cap
-     * @p crossingCaps[i], writing @p out[i]. Lane i is bitwise equal
-     * to the corresponding single-lane call. The batch exploits three
-     * exact dedup rules (saturated results are pure functions of the
-     * supply ceiling, saturation is monotone in the demand level, and
-     * the concurrency fixed point is ceiling-independent) and runs
-     * the remaining distinct bisections interleaved so their division
-     * chains pipeline.
-     *
-     * This is the scalar reference solver: the single-lane
-     * resolveWithCrossingCap(), and with it the naive
-     * GpuDevice::run() path, routes through it with lanes == 1. The
-     * lattice tables use the vector form,
-     * resolveSlabLanesWithCrossingCap(), which is pinned bitwise to
-     * this loop (docs/MODEL.md §9).
-     */
-    void resolveLanesWithCrossingCap(double memFreqMhz,
-                                     const MemDemand &demand,
-                                     size_t lanes,
-                                     const double *outstanding,
-                                     const double *crossingCaps,
-                                     BandwidthResult *out) const;
-
     /** One memory frequency's worth of lanes for the multi-slab
-     * resolver below; fields mirror the resolveLanesWithCrossingCap
-     * arguments. */
+     * resolver below: lane i resolves the demand with
+     * outstandingRequests = outstanding[i] against crossing cap
+     * crossingCaps[i], writing out[i]. */
     struct SlabLaneRequest
     {
         double memFreqMhz = 0.0;
@@ -144,21 +125,24 @@ class MemorySystem
     };
 
     /**
-     * Resolve several memory frequencies' lane batches in one pass:
-     * slab s is staged exactly like resolveLanesWithCrossingCap(
-     * slabs[s].memFreqMhz, demand, ...), but the surviving bisections
-     * of ALL slabs run together as explicit vector packs
-     * (src/common/simd.hh) with branchless per-lane selects,
-     * iteration-major across packs. A single slab rarely stages more
-     * than one pack of distinct solves, so its pack is latency-bound
-     * on the 48 serially dependent iterations; batching across slabs
-     * gives the divider several independent packs per iteration to
-     * pipeline. Per lane the expression tree is a mirror of the
-     * scalar loop (each solve carries its own slab's
-     * peak/unloaded-latency constants), so every result is bitwise
-     * identical to the scalar per-slab call. This is the solver the
-     * lattice tables use (TimingEngine::buildAxisTables), with one
-     * slab per call when the slabs are resolved on a pool.
+     * The fast path: resolve several memory frequencies' lanes in one
+     * pass, every lane bitwise equal to the corresponding
+     * resolveWithCrossingCap() call (docs/MODEL.md §9). Per slab, three
+     * exact dedup rules keep the work small: a saturated result is a
+     * pure function of the supply ceiling, saturation is monotone in
+     * the demand level, and the concurrency fixed point does not
+     * depend on the ceiling. The surviving bisections of ALL slabs
+     * then run together as explicit vector packs (src/common/simd.hh)
+     * with branchless per-lane selects, iteration-major across packs.
+     * A single slab rarely stages more than one pack of distinct
+     * solves, so its pack is latency-bound on the 48 serially
+     * dependent iterations; batching across slabs gives the divider
+     * several independent packs per iteration to pipeline. Per lane
+     * the expression tree mirrors the reference's bisection, each
+     * solve carrying its own slab's peak/unloaded-latency constants.
+     * This is the solver the lattice tables use
+     * (TimingEngine::buildAxisTables), with one slab per call when the
+     * slabs are resolved on a pool.
      */
     void resolveSlabLanesWithCrossingCap(const SlabLaneRequest *slabs,
                                          size_t nSlabs,

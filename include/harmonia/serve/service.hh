@@ -75,9 +75,6 @@ struct ServiceOptions
     /** Concurrent governor sessions. */
     size_t maxSessions = 256;
 
-    /** Sweep RNG seed (forwarded to SweepOptions). */
-    uint64_t rngSeed = 0x4841524d4f4e4941ull;
-
     /**
      * Registry name of the device backing requests that carry no
      * `device` field (the daemon's --device flag). Empty selects

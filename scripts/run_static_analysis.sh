@@ -19,7 +19,11 @@
 #              `harmonia_exp --run fig10 --jobs 4`
 #   tsan       TSan build; the thread-pool, sweep-determinism and
 #              oracle tests, which exercise every lock in the library
-#              and the oracle's reused buffer written by pool workers
+#              and the oracle's reused buffer written by pool workers,
+#              and the service/reactor tests (serve determinism,
+#              device and reactor), which run the poll() reactor on
+#              its own thread against client threads and fill the
+#              per-device point stores from pool workers
 #   model      check_model: the 11-invariant physics check across
 #              every (app x 448-config) point of the suite, through
 #              the batched lattice path
@@ -116,7 +120,7 @@ if want asan; then
 fi
 
 if want tsan; then
-    note "TSan (thread pool + sweep determinism + oracle)"
+    note "TSan (thread pool + sweep determinism + oracle + serving)"
     configure_and_build build-tsan \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DHARMONIA_TSAN=ON || FAILED=1
@@ -124,6 +128,9 @@ if want tsan; then
         ./build-tsan/tests/test_thread_pool > /dev/null || FAILED=1
         ./build-tsan/tests/test_sweep_determinism > /dev/null || FAILED=1
         ./build-tsan/tests/test_oracle > /dev/null || FAILED=1
+        ./build-tsan/tests/test_serve_determinism > /dev/null || FAILED=1
+        ./build-tsan/tests/test_serve_device > /dev/null || FAILED=1
+        ./build-tsan/tests/test_serve_reactor > /dev/null || FAILED=1
         echo "TSan runs clean"
     fi
 fi

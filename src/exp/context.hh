@@ -2,8 +2,8 @@
  * @file
  * ExpContext: the shared services an Experiment runs against — the
  * device model, the workload suite, the `--jobs` thread budget, the
- * RNG seed, the artifact writer, and memoized heavyweight results
- * (the trained predictors and the full standard campaign).
+ * artifact writer, and memoized heavyweight results (the trained
+ * predictors and the full standard campaign).
  *
  * The memos are what make `harmonia_exp --all` cheap: figures
  * 10/11/12/13/17/18 and the freq-only ablation all consume the same
@@ -15,7 +15,6 @@
 #ifndef HARMONIA_EXP_CONTEXT_HH
 #define HARMONIA_EXP_CONTEXT_HH
 
-#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -35,9 +34,6 @@ struct ExpOptions
 {
     /** Worker threads for campaigns/sweeps (1 = serial). */
     int jobs = 1;
-
-    /** Base seed forwarded to sweep RNG substreams. */
-    uint64_t seed = 0x4841524d4f4e4941ull; // "HARMONIA"
 
     /** Artifact directory; empty = terminal tables only. */
     std::string outDir;
@@ -71,7 +67,6 @@ class ExpContext
     const GpuDevice &device() const { return device_; }
     const ExpOptions &options() const { return options_; }
     int jobs() const { return options_.jobs; }
-    uint64_t seed() const { return options_.seed; }
     std::ostream &out() { return out_; }
     ArtifactWriter &artifacts() { return artifacts_; }
 

@@ -37,7 +37,6 @@ usage(std::ostream &os)
           "else 1)\n"
           "  --out DIR       write JSON/CSV artifacts under DIR\n"
           "  --format F      json | csv | all (default) | none\n"
-          "  --seed S        base RNG seed for sweep substreams\n"
           "  --bench-reps N  micro_sweep passes per variant "
           "(default 6)\n"
           "  --device NAME   run on a registered device profile "
@@ -87,10 +86,6 @@ parseSharedOption(int argc, char **argv, int &i, CliOptions &opt,
                       << "'\n";
             bad = true;
         }
-    } else if (arg == "--seed") {
-        opt.exp.seed = std::strtoull(value("--seed").c_str(), nullptr, 0);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-        opt.exp.seed = std::strtoull(arg.c_str() + 7, nullptr, 0);
     } else if (arg == "--bench-reps") {
         opt.exp.benchReps =
             std::max(1, std::atoi(value("--bench-reps").c_str()));

@@ -61,7 +61,7 @@ class ExtCrossDevice final : public Experiment
 
         for (const std::string &name : deviceNames()) {
             const GpuDevice device = makeDevice(name).value();
-            const SweepOptions sweepOpt{ctx.jobs(), ctx.seed()};
+            const SweepOptions sweepOpt{ctx.jobs()};
             const ConfigSweep sweep(device, sweepOpt);
 
             // Landscape: where the full-lattice oracle lands for each

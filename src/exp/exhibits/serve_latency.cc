@@ -116,7 +116,6 @@ drive(ExpContext &ctx, bool batching, int jobs, int windows)
     opt.jobs = jobs;
     opt.batching = batching;
     opt.cache = false; // Isolate the batching effect from caching.
-    opt.rngSeed = ctx.seed();
     Service service(opt);
 
     const std::vector<Application> &apps = ctx.suite();
@@ -247,7 +246,6 @@ fanIn(ExpContext &ctx, int clients, int totalRequests)
     opt.jobs = 4;
     opt.batching = true;
     opt.cache = false;
-    opt.rngSeed = ctx.seed();
     Service service(opt);
 
     serve::ServerOptions sopt;
@@ -420,7 +418,6 @@ class ServeLatency final : public Experiment
         // service — the second pass is served from memoized points.
         ServiceOptions copt;
         copt.jobs = 4;
-        copt.rngSeed = ctx.seed();
         Service cached(copt);
         for (int pass = 0; pass < 2; ++pass) {
             for (int w = 0; w < windows; ++w) {

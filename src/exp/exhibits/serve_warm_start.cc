@@ -135,9 +135,8 @@ persistentStat(const Service &service, std::string_view key)
  * pays a slow load shows it in time-to-first-response.
  */
 PhaseResult
-runOnce(ExpContext &ctx, const std::string &phase,
-        const std::vector<std::string> &kernels, int windows,
-        const std::string &cacheFile, bool saveOnExit)
+runOnce(const std::string &phase, const std::vector<std::string> &kernels,
+        int windows, const std::string &cacheFile, bool saveOnExit)
 {
     using Clock = std::chrono::steady_clock;
     PhaseResult r;
@@ -146,7 +145,6 @@ runOnce(ExpContext &ctx, const std::string &phase,
     const auto start = Clock::now();
     ServiceOptions opt;
     opt.jobs = 1; // Serial: latency differences come from the cache.
-    opt.rngSeed = ctx.seed();
     opt.cacheFile = cacheFile;
     Service service(opt);
     r.constructMs = std::chrono::duration<double, std::milli>(
@@ -271,7 +269,7 @@ class ServeWarmStart final : public Experiment
                 if (spec.save)
                     std::remove(snapPath.c_str());
                 runs[s].push_back(runOnce(
-                    ctx, spec.phase, kernels, windows,
+                    spec.phase, kernels, windows,
                     spec.useSnapshot ? snapPath : std::string(),
                     spec.save));
             }

@@ -11,6 +11,52 @@
 namespace harmonia
 {
 
+namespace
+{
+
+/**
+ * Little's-law bandwidth of @p inFlightBytes at a hypothetical achieved
+ * bandwidth @p bw: loaded latency rises with bus utilization, so the
+ * result is decreasing in @p bw. The utilization is clamped to 0.95,
+ * below the 0.98 clamp inside Gddr5Model::loadedLatencyFromBase(), so
+ * the inlined latency expression is bitwise identical to calling it.
+ */
+inline double
+concurrencyBandwidth(double inFlightBytes, double bw, double peak,
+                     double unloaded, double qs)
+{
+    const double u = std::min(bw / peak, 0.95);
+    const double latency = unloaded * (1.0 + qs * u / (1.0 - u));
+    return inFlightBytes / latency;
+}
+
+/**
+ * 48 halvings of [*lo, *hi] toward the unique bw with
+ * concurrencyBandwidth(inFlightBytes, bw, ...) == bw.
+ *
+ * Kept out of line on purpose: inlined into resolveWithCrossingCap()
+ * under -O3 -march=native, GCC 12 turns the halving into blends, so
+ * the iterations' divisions chain back to back and GpuDevice::run()
+ * got about 15% slower on an x86-64 Xeon; out of line, the loop keeps
+ * a predicted branch. Results are bitwise identical either way.
+ */
+__attribute__((noinline)) void
+bisectConcurrencyFixedPoint(double inFlightBytes, double peak,
+                            double unloaded, double qs, double *lo,
+                            double *hi)
+{
+    for (int iter = 0; iter < 48; ++iter) {
+        const double mid = 0.5 * (*lo + *hi);
+        if (concurrencyBandwidth(inFlightBytes, mid, peak, unloaded, qs) >=
+            mid)
+            *lo = mid;
+        else
+            *hi = mid;
+    }
+}
+
+} // namespace
+
 const char *
 bandwidthLimiterName(BandwidthLimiter limiter)
 {
@@ -51,21 +97,6 @@ MemorySystem::resolveWithCrossingCap(double memFreqMhz,
                                      const MemDemand &demand,
                                      double crossingCapBps) const
 {
-    BandwidthResult result;
-    resolveLanesWithCrossingCap(memFreqMhz, demand, 1,
-                                &demand.outstandingRequests,
-                                &crossingCapBps, &result);
-    return result;
-}
-
-void
-MemorySystem::resolveLanesWithCrossingCap(double memFreqMhz,
-                                          const MemDemand &demand,
-                                          size_t lanes,
-                                          const double *outstanding,
-                                          const double *crossingCaps,
-                                          BandwidthResult *out) const
-{
     fatalIf(demand.requestBytes <= 0.0,
             "MemorySystem: request size must be positive");
     fatalIf(demand.streamEfficiency <= 0.0 ||
@@ -73,194 +104,59 @@ MemorySystem::resolveLanesWithCrossingCap(double memFreqMhz,
             "MemorySystem: streamEfficiency must be in (0, 1], got ",
             demand.streamEfficiency);
 
-    // Everything that depends only on the memory frequency is shared
-    // by all lanes: peak bus bandwidth, the stream-limited ceiling,
-    // the unloaded base latency, and the queueing-knee sensitivity.
     const double peak = peakBandwidth(memFreqMhz);
     const double busPeak = peak * demand.streamEfficiency;
     const double unloaded = gddr5_.unloadedLatency(memFreqMhz);
     const double qs = gddr5_.timing().queueSensitivity;
 
-    // Little's-law bandwidth at a hypothetical achieved bandwidth bw:
-    // loaded latency rises with bus utilization, so g is decreasing.
-    // The utilization is clamped to 0.95, below the 0.98 clamp inside
-    // loadedLatencyFromBase(), so the inlined latency expression here
-    // is bitwise identical to calling it.
-    auto mlpBwAt = [&](double inFlightBytes, double bw) {
-        const double u = std::min(bw / peak, 0.95);
-        const double latency = unloaded * (1.0 + qs * u / (1.0 - u));
-        return inFlightBytes / latency;
-    };
-
-    // Three exact dedup rules keep the batch cheap. All of them
-    // follow from g(bw) = inFlightBytes / latency(bw) being monotone
-    // in inFlightBytes at fixed bw (IEEE division is monotone in its
-    // numerator, so the comparisons below transfer exactly, not just
-    // approximately):
-    //
-    //  1. A saturated result is a pure function of the supply ceiling
-    //     (effectiveBps = cap, latency and limiter derived from it),
-    //     so lanes sharing a ceiling share one saturated result.
-    //  2. Saturation itself is monotone in the in-flight bytes: once
-    //     one demand level saturates a ceiling, every deeper level
-    //     does too (and once one is unsaturated, every shallower
-    //     level is too), so most lanes skip the saturation test.
-    //  3. The concurrency fixed point of bw = g(bw) does not depend
-    //     on the ceiling at all — the ceiling only decided that the
-    //     lane is unsaturated (the root lies below it) — so the
-    //     bisection runs on the cap-independent bracket [0, busPeak]
-    //     (g(0) > 0 and g(busPeak) <= g(root) < busPeak) and lanes
-    //     sharing a demand level share one solve.
-    //
-    // The distinct bisections run interleaved: iteration i of every
-    // staged solve executes before iteration i+1 of any of them, so
-    // the division chains — independent across solves — pipeline
-    // instead of serializing.
-    constexpr size_t kBatch = 64;
-
-    // Supply-ceiling groups (rule 1 + 2).
-    struct CapGroup
-    {
-        double cap;           // min(busPeak, crossing cap)
-        double satMin;        // smallest in-flight level known saturated
-        double unsatMax;      // largest in-flight level known unsaturated
-        BandwidthResult sat;  // shared saturated result (if satMin set)
-    };
-    CapGroup groups[kBatch];
-    size_t nGroups = 0;
-
-    // Distinct bisection solves (rule 3) and the lanes awaiting them.
-    double solveIn[kBatch]; // distinct in-flight byte levels
-    double lo[kBatch];
-    double hi[kBatch];
-    double solveLatency[kBatch];
-    size_t laneSlot[kBatch];  // staged lane -> out index
-    size_t laneSolve[kBatch]; // staged lane -> solve
-    size_t laneGroup[kBatch]; // staged lane -> ceiling group
-    size_t nSolves = 0;
-    size_t nStaged = 0;
-
-    // Kept out of line on purpose. Inlined into the lanes == 1 clone
-    // that the naive path's resolveWithCrossingCap() calls, GCC 12
-    // turns the one-solve halving into blends, so all 48 iterations'
-    // three divisions chain back to back; out of line, that loop keeps
-    // a predicted branch, and single-point solves ran about 3x faster
-    // on an x86-64 Xeon. Results are bitwise identical either way.
-    auto flush = [&]() __attribute__((noinline)) {
-        for (int iter = 0; iter < 48; ++iter) {
-            for (size_t u = 0; u < nSolves; ++u) {
-                const double mid = 0.5 * (lo[u] + hi[u]);
-                // Written as a select so GCC can vectorize it across
-                // solves; a lone solve compiles to a branch (above).
-                const bool below = mlpBwAt(solveIn[u], mid) >= mid;
-                lo[u] = below ? mid : lo[u];
-                hi[u] = below ? hi[u] : mid;
-            }
-        }
-        for (size_t u = 0; u < nSolves; ++u) {
-            const double bw = 0.5 * (lo[u] + hi[u]);
-            solveIn[u] = bw; // reuse as the solved bandwidth
-            solveLatency[u] = gddr5_.loadedLatencyFromBase(
-                unloaded, std::min(bw / peak, 0.95));
-        }
-        for (size_t l = 0; l < nStaged; ++l) {
-            BandwidthResult &r = out[laneSlot[l]];
-            const CapGroup &g = groups[laneGroup[l]];
-            r.effectiveBps = solveIn[laneSolve[l]];
-            r.latency = solveLatency[laneSolve[l]];
-            if (r.effectiveBps >= g.cap * (1.0 - 1e-9)) {
-                r.limiter = busPeak <= g.cap ? BandwidthLimiter::BusPeak
-                                             : BandwidthLimiter::Crossing;
-            } else {
-                r.limiter = BandwidthLimiter::Concurrency;
-            }
-            HARMONIA_CHECK_NONNEG(r.effectiveBps);
-            HARMONIA_CHECK(r.effectiveBps <= g.cap * (1.0 + 1e-9),
-                           "bandwidth above the supply-path ceiling");
-            HARMONIA_CHECK(r.latency > 0.0, "non-positive loaded latency");
-        }
-        nGroups = 0;
-        nSolves = 0;
-        nStaged = 0;
-    };
-
-    for (size_t i = 0; i < lanes; ++i) {
-        fatalIf(outstanding[i] < 0.0,
-                "MemorySystem: negative outstanding requests");
-        if (outstanding[i] == 0.0) {
-            out[i].effectiveBps = 0.0;
-            out[i].latency = unloaded;
-            out[i].limiter = BandwidthLimiter::Concurrency;
-            continue;
-        }
-
-        if (nGroups == kBatch || nSolves == kBatch || nStaged == kBatch)
-            flush();
-
-        const double supplyCap = std::min(busPeak, crossingCaps[i]);
-        size_t gi = 0;
-        while (gi < nGroups && groups[gi].cap != supplyCap)
-            ++gi;
-        if (gi == nGroups) {
-            groups[gi].cap = supplyCap;
-            groups[gi].satMin = std::numeric_limits<double>::infinity();
-            groups[gi].unsatMax = -1.0;
-            ++nGroups;
-        }
-        CapGroup &g = groups[gi];
-
-        const double inFlightBytes = outstanding[i] * demand.requestBytes;
-        bool saturated;
-        if (inFlightBytes >= g.satMin) {
-            saturated = true;
-        } else if (inFlightBytes <= g.unsatMax) {
-            saturated = false;
-        } else {
-            saturated = mlpBwAt(inFlightBytes, supplyCap) >= supplyCap;
-            if (saturated) {
-                // First (shallowest) saturated level seen for this
-                // ceiling: build the shared saturated result.
-                if (g.satMin ==
-                    std::numeric_limits<double>::infinity()) {
-                    g.sat.effectiveBps = supplyCap;
-                    g.sat.latency = gddr5_.loadedLatencyFromBase(
-                        unloaded, std::min(supplyCap / peak, 0.95));
-                    g.sat.limiter = busPeak <= crossingCaps[i]
-                                        ? BandwidthLimiter::BusPeak
-                                        : BandwidthLimiter::Crossing;
-                    HARMONIA_CHECK_NONNEG(g.sat.effectiveBps);
-                    HARMONIA_CHECK(g.sat.latency > 0.0,
-                                   "non-positive loaded latency");
-                }
-                g.satMin = inFlightBytes;
-            } else {
-                g.unsatMax = inFlightBytes;
-            }
-        }
-
-        if (saturated) {
-            // Enough concurrency to saturate the supply path.
-            out[i] = g.sat;
-        } else {
-            // Concurrency-limited: stage for the shared bisection (g
-            // is strictly decreasing in bw, so the crossing is
-            // unique).
-            size_t u = 0;
-            while (u < nSolves && solveIn[u] != inFlightBytes)
-                ++u;
-            if (u == nSolves) {
-                solveIn[u] = inFlightBytes;
-                lo[u] = 0.0;
-                hi[u] = busPeak;
-                ++nSolves;
-            }
-            laneSlot[nStaged] = i;
-            laneSolve[nStaged] = u;
-            laneGroup[nStaged] = gi;
-            ++nStaged;
-        }
+    fatalIf(demand.outstandingRequests < 0.0,
+            "MemorySystem: negative outstanding requests");
+    BandwidthResult r;
+    if (demand.outstandingRequests == 0.0) {
+        r.effectiveBps = 0.0;
+        r.latency = unloaded;
+        r.limiter = BandwidthLimiter::Concurrency;
+        return r;
     }
-    flush();
+
+    const double supplyCap = std::min(busPeak, crossingCapBps);
+    const double inFlightBytes =
+        demand.outstandingRequests * demand.requestBytes;
+    if (concurrencyBandwidth(inFlightBytes, supplyCap, peak, unloaded,
+                             qs) >= supplyCap) {
+        // Enough concurrency to saturate the supply path.
+        r.effectiveBps = supplyCap;
+        r.latency = gddr5_.loadedLatencyFromBase(
+            unloaded, std::min(supplyCap / peak, 0.95));
+        r.limiter = busPeak <= crossingCapBps ? BandwidthLimiter::BusPeak
+                                              : BandwidthLimiter::Crossing;
+        HARMONIA_CHECK_NONNEG(r.effectiveBps);
+        HARMONIA_CHECK(r.latency > 0.0, "non-positive loaded latency");
+        return r;
+    }
+
+    // Concurrency-limited: the fixed point lies below the supply
+    // ceiling, and g(0) > 0 while g(busPeak) <= g(root) < busPeak, so
+    // [0, busPeak] brackets it (g is strictly decreasing, so the
+    // crossing is unique).
+    double lo = 0.0;
+    double hi = busPeak;
+    bisectConcurrencyFixedPoint(inFlightBytes, peak, unloaded, qs, &lo,
+                                &hi);
+    r.effectiveBps = 0.5 * (lo + hi);
+    r.latency = gddr5_.loadedLatencyFromBase(
+        unloaded, std::min(r.effectiveBps / peak, 0.95));
+    if (r.effectiveBps >= supplyCap * (1.0 - 1e-9)) {
+        r.limiter = busPeak <= supplyCap ? BandwidthLimiter::BusPeak
+                                         : BandwidthLimiter::Crossing;
+    } else {
+        r.limiter = BandwidthLimiter::Concurrency;
+    }
+    HARMONIA_CHECK_NONNEG(r.effectiveBps);
+    HARMONIA_CHECK(r.effectiveBps <= supplyCap * (1.0 + 1e-9),
+                   "bandwidth above the supply-path ceiling");
+    HARMONIA_CHECK(r.latency > 0.0, "non-positive loaded latency");
+    return r;
 }
 
 void
@@ -301,11 +197,11 @@ MemorySystem::resolveSlabLanesWithCrossingCap(
         // iteration i of every pack runs before iteration i+1 of any
         // pack, so the packs' serially dependent division chains
         // overlap in the divider instead of running back to back. Each
-        // lane mirrors the scalar bisection of
-        // resolveLanesWithCrossingCap() op for op (same division, same
-        // clamp, same compare) with its own slab's constants — bitwise
-        // identical results. Tail packs pad with the last solve
-        // (loadN); pads stay finite and are never stored.
+        // lane mirrors the reference's bisectConcurrencyFixedPoint() op
+        // for op (same division, same clamp, same compare) with its own
+        // slab's constants — bitwise identical results. Tail packs pad
+        // with the last solve (loadN); pads stay finite and are never
+        // stored.
         for (int iter = 0; iter < 48; ++iter) {
             for (size_t base = 0; base < nSolves;
                  base += VDouble::width) {
@@ -361,21 +257,27 @@ MemorySystem::resolveSlabLanesWithCrossingCap(
         const double busPeak = peak * demand.streamEfficiency;
         const double unloaded = gddr5_.unloadedLatency(slab.memFreqMhz);
 
-        auto mlpBwAt = [&](double inFlightBytes, double bw) {
-            const double u = std::min(bw / peak, 0.95);
-            const double latency = unloaded * (1.0 + qs * u / (1.0 - u));
-            return inFlightBytes / latency;
-        };
-
+        // Three dedup rules keep the slab cheap. They are exact, not
+        // approximate: each follows from g(bw) = inFlightBytes /
+        // latency(bw) being monotone in inFlightBytes at fixed bw, and
+        // IEEE division is monotone in its numerator.
+        //  1. A saturated result is a pure function of the supply
+        //     ceiling, so lanes sharing a ceiling share one result.
+        //  2. Saturation is monotone in the in-flight bytes, so the
+        //     satMin/unsatMax bounds skip most saturation tests.
+        //  3. The concurrency fixed point does not depend on the
+        //     ceiling (which only decided that the root lies below
+        //     it), so the bisection runs on [0, busPeak] and lanes with
+        //     equal demand share one solve.
         // Ceiling groups are per slab (caps at different memory
         // frequencies are not comparable); solve dedup likewise only
         // scans this slab's window of the global solve array.
         struct CapGroup
         {
-            double cap;
-            double satMin;
-            double unsatMax;
-            BandwidthResult sat;
+            double cap;          // min(busPeak, crossing cap)
+            double satMin;       // smallest in-flight level known saturated
+            double unsatMax;     // largest in-flight level known unsaturated
+            BandwidthResult sat; // shared saturated result (if satMin set)
         };
         constexpr size_t kGroups = 64;
         CapGroup groups[kGroups];
@@ -421,8 +323,9 @@ MemorySystem::resolveSlabLanesWithCrossingCap(
             } else if (inFlightBytes <= g.unsatMax) {
                 saturated = false;
             } else {
-                saturated =
-                    mlpBwAt(inFlightBytes, supplyCap) >= supplyCap;
+                saturated = concurrencyBandwidth(inFlightBytes, supplyCap,
+                                                 peak, unloaded,
+                                                 qs) >= supplyCap;
                 if (saturated) {
                     if (g.satMin ==
                         std::numeric_limits<double>::infinity()) {

@@ -131,7 +131,7 @@ struct Service::DeviceState
 {
     DeviceState(GpuDevice d, const ServiceOptions &opt)
         : device(std::move(d)),
-          sweep(device, SweepOptions{opt.jobs, opt.rngSeed})
+          sweep(device, SweepOptions{opt.jobs})
     {
     }
 
@@ -648,7 +648,6 @@ Service::buildGovernor(DeviceState &dev, const std::string &name)
     spec.device = &dev.device;
     spec.predictor = dev.predictor ? &*dev.predictor : nullptr;
     spec.sweep.jobs = options_.jobs;
-    spec.sweep.rngSeed = options_.rngSeed;
 
     Result<std::unique_ptr<Governor>> governor =
         makeGovernor(name, spec);

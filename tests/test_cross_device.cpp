@@ -78,7 +78,7 @@ TEST(CrossDevice, ScalarAndSimdAgreeOffTheDefaultLattice)
     const KernelPhase phase = k.phase(0);
     for (const char *name : {"hbm-stacked", "ampere-ga100"}) {
         const GpuDevice device = makeDevice(name).value();
-        const ConfigSweep sweep(device, SweepOptions{1, 0});
+        const ConfigSweep sweep(device, SweepOptions{1});
         const std::vector<KernelResult> &a = sweep.evaluate(k, 0);
         ASSERT_EQ(a.size(), sweep.configs().size());
         for (size_t i = 0; i < a.size(); ++i) {

@@ -15,9 +15,10 @@
  *    duplicates, shuffles, single points), which exercises the
  *    indexed-gather fallback rather than the fused canonical gather;
  *  - scheduling independence of the chunked parallel path;
- *  - the batched crossing-cap bandwidth resolvers against per-lane
- *    and per-slab references, including lanes placed exactly on the
- *    saturation thresholds the batch dedup rules key off.
+ *  - the vector slab bandwidth solver against per-lane calls of the
+ *    single-point reference, on every registered device, including
+ *    lanes placed exactly on the saturation thresholds the slab dedup
+ *    rules key off.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +33,7 @@
 #include "harmonia/core/sweep.hh"
 #include "harmonia/dvfs/tunables.hh"
 #include "harmonia/memsys/memory_system.hh"
+#include "harmonia/sim/device_registry.hh"
 #include "harmonia/sim/gpu_device.hh"
 #include "sim/lattice_evaluator.hh"
 #include "harmonia/workloads/suite.hh"
@@ -248,89 +250,87 @@ TEST(SimdEquivalence, ParallelSimdMatchesSerial)
     }
 }
 
-// The batched crossing-cap solvers, lane by lane: the scalar batch and
-// the single-slab vector batch vs the single-lane call, over a grid of
-// demand levels and crossing caps that includes every
-// saturation-threshold boundary the dedup rules depend on (cap exactly
-// at the supply ceiling, one ULP either side, zero demand, and
-// saturating demand).
+// The vector slab solver, lane by lane, vs the single-point reference
+// on every registered device's memory system, over a grid of demand
+// levels and crossing caps that includes every saturation-threshold
+// boundary the slab dedup rules depend on (cap exactly at the supply
+// ceiling, one ULP either side, zero demand, saturating demand, and
+// duplicate lanes).
 TEST(SimdEquivalence, LaneResolverMatchesPerLaneCalls)
 {
-    const MemorySystem &ms = device().engine().memorySystem();
-    const ConfigSpace &space = device().space();
-
     MemDemand demand;
     MemDemand streaming;
     streaming.requestBytes = 128.0;
     streaming.rowHitFraction = 0.9;
     streaming.streamEfficiency = 1.0;
 
-    for (const MemDemand &d : {demand, streaming}) {
-        for (const int mem : space.values(Tunable::MemFreq)) {
-            const double peak = ms.peakBandwidth(mem);
-            const double ceiling = d.streamEfficiency * peak;
+    for (const std::string &name : deviceNames()) {
+        const GpuDevice dev = makeDevice(name).value();
+        const MemorySystem &ms = dev.engine().memorySystem();
+        const ConfigSpace &space = dev.space();
+        for (const MemDemand &d : {demand, streaming}) {
+            for (const int mem : space.values(Tunable::MemFreq)) {
+                const double peak = ms.peakBandwidth(mem);
+                const double ceiling = d.streamEfficiency * peak;
 
-            std::vector<double> outstanding;
-            std::vector<double> caps;
-            const double demandLevels[] = {0.0, 1.0, 7.5, 64.0, 640.0,
-                                           1e6};
-            const double capLevels[] = {
-                0.05 * peak,
-                0.5 * peak,
-                std::nextafter(ceiling, 0.0),
-                ceiling,
-                std::nextafter(ceiling, 2.0 * ceiling),
-                peak,
-                2.0 * peak,
-                ms.crossing().maxBandwidth(space.minValue(
-                    Tunable::ComputeFreq)),
-                ms.crossing().maxBandwidth(space.maxValue(
-                    Tunable::ComputeFreq)),
-            };
-            for (const double o : demandLevels) {
-                for (const double c : capLevels) {
-                    outstanding.push_back(o);
-                    caps.push_back(c);
+                std::vector<double> outstanding;
+                std::vector<double> caps;
+                const double demandLevels[] = {0.0,  1.0,   7.5,
+                                               64.0, 640.0, 1e6};
+                const double capLevels[] = {
+                    0.05 * peak,
+                    0.5 * peak,
+                    std::nextafter(ceiling, 0.0),
+                    ceiling,
+                    std::nextafter(ceiling, 2.0 * ceiling),
+                    peak,
+                    2.0 * peak,
+                    ms.crossing().maxBandwidth(
+                        space.minValue(Tunable::ComputeFreq)),
+                    ms.crossing().maxBandwidth(
+                        space.maxValue(Tunable::ComputeFreq)),
+                };
+                for (const double o : demandLevels) {
+                    for (const double c : capLevels) {
+                        outstanding.push_back(o);
+                        caps.push_back(c);
+                    }
                 }
-            }
-            // Duplicate the first few lanes so the dedup rules see
-            // exact repeats mid-batch.
-            for (size_t i = 0; i < 5; ++i) {
-                outstanding.push_back(outstanding[i]);
-                caps.push_back(caps[i]);
-            }
+                // Duplicate the first few lanes so the dedup rules see
+                // exact repeats mid-batch.
+                for (size_t i = 0; i < 5; ++i) {
+                    outstanding.push_back(outstanding[i]);
+                    caps.push_back(caps[i]);
+                }
 
-            const size_t lanes = outstanding.size();
-            std::vector<BandwidthResult> scalar(lanes);
-            std::vector<BandwidthResult> vectorized(lanes);
-            ms.resolveLanesWithCrossingCap(mem, d, lanes,
-                                           outstanding.data(),
-                                           caps.data(), scalar.data());
-            const MemorySystem::SlabLaneRequest slab{
-                static_cast<double>(mem), lanes, outstanding.data(),
-                caps.data(), vectorized.data()};
-            ms.resolveSlabLanesWithCrossingCap(&slab, 1, d);
-            for (size_t l = 0; l < lanes; ++l) {
-                const std::string ctx =
-                    "mem " + std::to_string(mem) + " lane " +
-                    std::to_string(l) + " (outstanding " +
-                    std::to_string(outstanding[l]) + ", cap " +
-                    std::to_string(caps[l]) + ")";
-                MemDemand lane = d;
-                lane.outstandingRequests = outstanding[l];
-                const BandwidthResult ref =
-                    ms.resolveWithCrossingCap(mem, lane, caps[l]);
-                expectSameBandwidth(scalar[l], ref, ctx);
-                expectSameBandwidth(vectorized[l], ref, ctx);
+                const size_t lanes = outstanding.size();
+                std::vector<BandwidthResult> vectorized(lanes);
+                const MemorySystem::SlabLaneRequest slab{
+                    static_cast<double>(mem), lanes, outstanding.data(),
+                    caps.data(), vectorized.data()};
+                ms.resolveSlabLanesWithCrossingCap(&slab, 1, d);
+                for (size_t l = 0; l < lanes; ++l) {
+                    const std::string ctx =
+                        name + " mem " + std::to_string(mem) + " lane " +
+                        std::to_string(l) + " (outstanding " +
+                        std::to_string(outstanding[l]) + ", cap " +
+                        std::to_string(caps[l]) + ")";
+                    MemDemand lane = d;
+                    lane.outstandingRequests = outstanding[l];
+                    expectSameBandwidth(
+                        vectorized[l],
+                        ms.resolveWithCrossingCap(mem, lane, caps[l]),
+                        ctx);
+                }
             }
         }
     }
 }
 
-// The cross-slab resolver: staging all memory frequencies' lane
-// batches into one interleaved vector bisection pass must reproduce
-// the per-slab scalar batches and the per-lane calls bit for bit,
-// including slabs whose lane counts leave partial packs.
+// The cross-slab resolver: staging all memory frequencies' lanes into
+// one interleaved vector bisection pass must reproduce the per-lane
+// single-point calls bit for bit, including slabs whose lane counts
+// leave partial packs.
 TEST(SimdEquivalence, SlabResolverMatchesPerSlabCalls)
 {
     const MemorySystem &ms = device().engine().memorySystem();
@@ -343,7 +343,6 @@ TEST(SimdEquivalence, SlabResolverMatchesPerSlabCalls)
     std::vector<std::vector<double>> outstanding(mems.size());
     std::vector<std::vector<double>> caps(mems.size());
     std::vector<std::vector<BandwidthResult>> slabOut(mems.size());
-    std::vector<std::vector<BandwidthResult>> refOut(mems.size());
     std::vector<MemorySystem::SlabLaneRequest> slabs(mems.size());
 
     for (size_t s = 0; s < mems.size(); ++s) {
@@ -356,7 +355,6 @@ TEST(SimdEquivalence, SlabResolverMatchesPerSlabCalls)
             caps[s].push_back(rng.uniform(0.05 * peak, 2.5 * peak));
         }
         slabOut[s].resize(lanes);
-        refOut[s].resize(lanes);
         slabs[s] = {static_cast<double>(mems[s]), lanes,
                     outstanding[s].data(), caps[s].data(),
                     slabOut[s].data()};
@@ -366,13 +364,9 @@ TEST(SimdEquivalence, SlabResolverMatchesPerSlabCalls)
                                        demand);
 
     for (size_t s = 0; s < mems.size(); ++s) {
-        ms.resolveLanesWithCrossingCap(
-            slabs[s].memFreqMhz, demand, slabs[s].lanes,
-            outstanding[s].data(), caps[s].data(), refOut[s].data());
         for (size_t l = 0; l < slabs[s].lanes; ++l) {
             const std::string ctx = "slab " + std::to_string(mems[s]) +
                                     " lane " + std::to_string(l);
-            expectSameBandwidth(slabOut[s][l], refOut[s][l], ctx);
             MemDemand lane = demand;
             lane.outstandingRequests = outstanding[s][l];
             const BandwidthResult single = ms.resolveWithCrossingCap(
