@@ -77,15 +77,15 @@ main(int argc, char **argv)
     }
     curve.print(std::cout, "Per-memory-configuration optima");
 
-    // Objective winners (served from the sweep's memo cache).
+    // Objective winners, reduced from the lattice evaluated above.
     TextTable winners({"objective", "config", "time (us)",
                        "energy (mJ)", "ED2 vs max-config"});
     for (OracleObjective obj :
          {OracleObjective::MaxPerf, OracleObjective::MinEd2,
           OracleObjective::MinEd, OracleObjective::MinEnergy}) {
-        const HardwareConfig cfg =
-            bestConfigFor(sweep, kernel, 0, obj);
-        const KernelResult r = sweep.at(kernel, 0, cfg);
+        const size_t best = bestConfigIndex(configs, results, obj);
+        const HardwareConfig &cfg = configs[best];
+        const KernelResult &r = results[best];
         winners.row()
             .cell(oracleObjectiveName(obj))
             .cell(cfg.str())

@@ -93,9 +93,11 @@ class GovernorRegistry
     std::vector<std::string> names() const;
 
     /**
-     * Build a governor. @returns NotFound for an unknown name,
-     * InvalidArgument when the spec misses a requirement (no device,
-     * or no predictor for a predictor-driven governor).
+     * Build a governor; never throws. @returns NotFound for an
+     * unknown name, InvalidArgument when the spec misses a
+     * requirement (no device, or no predictor for a predictor-driven
+     * governor), and the error a throwing factory raised (e.g. a CG
+     * target off the device's lattice) as its Status.
      */
     Result<std::unique_ptr<Governor>> make(const std::string &name,
                                            const GovernorSpec &spec) const;

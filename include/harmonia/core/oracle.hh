@@ -9,9 +9,11 @@
  * compared against (Harmonia lands within ~3% on average).
  *
  * Each search runs the lattice (parallel over SweepOptions::jobs) into
- * one reused buffer and keeps only the argmin; the per-iteration
- * decision cache stops repeat searches, so no lattice is memoized. The
- * argmin (bestConfigIndex) walks the canonical enumeration order, so
+ * one reused buffer and keeps only the argmin. The decision cache is
+ * keyed by InvocationKey, (kernel id, phase bytes), the only inputs a
+ * lattice depends on: every iteration of a phase-invariant kernel
+ * reuses one search, and no lattice is memoized. The argmin
+ * (bestConfigIndex) walks the canonical enumeration order, so
  * parallel and serial searches pick bit-identical configs.
  */
 
@@ -79,7 +81,8 @@ class OracleGovernor : public Governor
 
     void reset() override { cache_.clear(); }
 
-    /** Number of exhaustive searches performed (for tests). */
+    /** Number of exhaustive searches performed, one per distinct
+     * (kernel, phase) since the last reset() (for tests). */
     size_t searches() const { return searches_; }
 
     /** Enumeration and pool of the searches; its store stays empty. */
@@ -88,21 +91,10 @@ class OracleGovernor : public Governor
   private:
     ConfigSweep sweep_;
     OracleObjective objective_;
-    std::map<std::string, HardwareConfig> cache_;
+    std::map<InvocationKey, HardwareConfig> cache_;
     std::vector<KernelResult> results_; ///< Reused search buffer.
     size_t searches_ = 0;
 };
-
-/**
- * Standalone exhaustive search on an existing sweep engine: best
- * configuration for one kernel invocation under an objective, with
- * the lattice kept in the sweep's store for callers that read it
- * again.
- * The pick does not depend on the sweep's thread count.
- */
-HardwareConfig bestConfigFor(const ConfigSweep &sweep,
-                             const KernelProfile &profile, int iteration,
-                             OracleObjective objective);
 
 /**
  * One serial, unmemoized search of @p device's lattice, for analyses

@@ -11,13 +11,16 @@
  * every point with a ThreadPool.
  *
  * It is also the device's one store of evaluated points: a lattice
- * per (kernel id, iteration), each slot absent, computed, or restored
- * from a durable snapshot. evaluate() fills the whole lattice, fill()
- * just the slots a request names, and seed() inserts restored points,
- * so check_model, the exhibits and the serving daemon's `sweep` and
- * `evaluate` verbs share the points, and its snapshot writer walks
- * them in key order (forEachEntry). OracleGovernor uses only the
- * enumeration and the pool and never fills the store.
+ * per (kernel id, phase bytes) InvocationKey, each slot absent,
+ * computed, or restored from a durable snapshot. Every iteration of a
+ * phase-invariant kernel therefore shares one lattice. evaluate()
+ * fills the whole lattice, fill() just the slots a request names, and
+ * seed() inserts restored points, so check_model, the exhibits and
+ * the serving daemon's `sweep` and `evaluate` verbs share the points.
+ * Each lattice remembers the smallest iteration that reached it, and
+ * the snapshot writer walks them in (kernel id, that iteration) order
+ * (forEachEntry). OracleGovernor uses only the enumeration and the
+ * pool and never fills the store.
  *
  * Determinism: the device model is const and purely functional, each
  * configuration's result is written to its own pre-assigned slot, a
@@ -39,12 +42,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "harmonia/common/rng.hh"
 #include "harmonia/common/thread_pool.hh"
 #include "harmonia/sim/gpu_device.hh"
+#include "harmonia/timing/kernel_profile.hh"
 
 namespace harmonia
 {
@@ -81,7 +84,7 @@ class ConfigSweep
         Restored, ///< Inserted by seed() from a durable snapshot.
     };
 
-    /** One (kernel, iteration)'s lattice: results[i] and slots[i]
+    /** One (kernel, phase)'s lattice: results[i] and slots[i]
      * belong to configs()[i]; results of absent slots are
      * value-initialized placeholders. */
     struct Lattice
@@ -125,9 +128,9 @@ class ConfigSweep
     /**
      * Evaluate @p profile's iteration @p iteration at every
      * configuration, in parallel, filling only the slots the store
-     * does not hold yet; a lattice with none stored takes one
-     * canonical-order runLattice. The returned reference stays valid
-     * until clearCache().
+     * does not hold yet for its InvocationKey; a lattice with none
+     * stored takes one canonical-order runLattice. The returned
+     * reference stays valid until clearCache().
      */
     const std::vector<KernelResult> &evaluate(const KernelProfile &profile,
                                               int iteration) const;
@@ -154,13 +157,15 @@ class ConfigSweep
                         const std::vector<size_t> &slots,
                         Lattice &lattice) const;
 
-    /** Insert restored points: results[i] at configs() index
-     * slots[i], marked Restored. Slots already stored are kept. */
-    void seed(const std::string &kernelId, int iteration,
+    /** Insert restored points of @p profile's iteration
+     * @p iteration: results[i] at configs() index slots[i], marked
+     * Restored. Slots already stored are kept. */
+    void seed(const KernelProfile &profile, int iteration,
               const std::vector<uint32_t> &slots,
               const std::vector<KernelResult> &results) const;
 
-    /** Visit every stored lattice in (kernel id, iteration) order.
+    /** Visit every stored lattice in (kernel id, iteration) order,
+     * where iteration is the smallest one that reached the lattice.
      * The store stays locked for the walk, so each lattice is seen
      * whole: @p visit must not call back into this sweep. */
     void forEachEntry(
@@ -173,7 +178,7 @@ class ConfigSweep
 
     /** Store statistics: evaluate()/fill() calls served entirely from
      * stored points (hits) or computing at least one (misses), and
-     * the stored (kernel, iteration) lattices. */
+     * the stored (kernel, phase) lattices. */
     size_t cacheHits() const;
     size_t cacheMisses() const;
     size_t cacheEntries() const;
@@ -185,18 +190,26 @@ class ConfigSweep
     /** A stored lattice and the lock its fills take. */
     struct Entry
     {
-        explicit Entry(size_t points) : lattice(points) {}
+        Entry(size_t points, int firstIteration)
+            : iteration(firstIteration), lattice(points)
+        {
+        }
 
+        /** Smallest iteration that reached this lattice (guarded by
+         * the store's mutex_, not the entry's). */
+        int iteration;
         std::mutex mutex;
         Lattice lattice;
     };
 
-    /** The store entry for (@p kernelId, @p iteration), created
-     * empty on first touch; map nodes never move. */
-    Entry &entry(std::string kernelId, int iteration) const;
+    /** The store entry for @p key, created empty on first touch and
+     * told that @p iteration reached it; map nodes never move. */
+    Entry &entry(const InvocationKey &key, int iteration) const;
 
-    /** fillInto() over @p slots, or every slot when null. */
-    FillCounts fillSlots(const KernelProfile &profile, int iteration,
+    /** fillInto() of @p phase over @p slots, or every slot when
+     * null. */
+    FillCounts fillSlots(const KernelProfile &profile,
+                         const KernelPhase &phase,
                          const std::vector<size_t> *slots,
                          Lattice &lattice) const;
 
@@ -212,11 +225,12 @@ class ConfigSweep
     std::vector<HardwareConfig> configs_;
     std::shared_ptr<ThreadPool> pool_;
 
-    // mutex_ guards the map only; each entry's own mutex serializes
-    // the fills of that (kernel, iteration), so fills of different
-    // invocations run concurrently. Hit/miss counters are atomics.
+    // mutex_ guards the map and each entry's iteration; an entry's
+    // own mutex serializes the fills of that (kernel, phase), so fills
+    // of different keys run concurrently. Hit/miss counters are
+    // atomics.
     mutable std::mutex mutex_;
-    mutable std::map<std::pair<std::string, int>, Entry> store_;
+    mutable std::map<InvocationKey, Entry> store_;
     mutable std::atomic<size_t> hits_ = 0;
     mutable std::atomic<size_t> misses_ = 0;
 };

@@ -17,7 +17,7 @@
  * times, capped at a few milliseconds — so that concurrent clients'
  * requests land in the same Service batch and coalesce into shared
  * lattice runs. The window spans *connections*: lines read from N
- * sockets in one wake-up form one batch, so same-(kernel, iteration)
+ * sockets in one wake-up form one batch, so same-(kernel, phase)
  * evaluates from different clients fuse into a single lattice run
  * (the `stats` verb reports the cross-connection fusion counters).
  * An idle loop blocks in poll() indefinitely; the window only ever

@@ -8,9 +8,10 @@
  * request line that arrived within one coalescing window, and the
  * service returns one response line per request, in input order. The
  * batch boundary is where the micro-batcher gets its leverage:
- * concurrent `evaluate` requests for the same (kernel, iteration) are
- * fused into a single GpuDevice::runLattice invocation over the
- * deduplicated union of their configurations, so the factored
+ * concurrent `evaluate` requests for the same (kernel, phase) — the
+ * InvocationKey, so iterations of a phase-invariant kernel count as
+ * one — are fused into a single GpuDevice::runLattice invocation over
+ * the deduplicated union of their configurations, so the factored
  * evaluator's per-invocation hoist (config-invariant bundle + axis
  * tables) is paid once per group instead of once per request.
  *
@@ -204,11 +205,12 @@ class Service
      * Mismatches invalidate to a logged cold start. */
     void hydrateFromSnapshot(DeviceState &dev);
 
-    /** Decode @p dev's restored entry for (kernelId, iteration) — if
-     * one is still pending — and seed it into the device's sweep
-     * store. Every verb that touches the store calls this first. */
+    /** Decode @p dev's restored entries for the InvocationKey of
+     * (@p profile, @p iteration) — if any are still pending — and
+     * seed them into the device's sweep store. Every verb that
+     * touches the store calls this first. */
     void materializeFromSnapshot(DeviceState &dev,
-                                 const std::string &kernelId,
+                                 const KernelProfile &profile,
                                  int iteration);
 
     ServiceOptions options_;

@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <string>
+#include <type_traits>
 
 #include "harmonia/arch/occupancy.hh"
 
@@ -73,6 +74,13 @@ struct KernelPhase
     void validate() const;
 };
 
+// InvocationKey compares phases byte for byte: every field must be a
+// double and there must be no padding, so equal bytes mean equal
+// model inputs.
+static_assert(std::is_trivially_copyable_v<KernelPhase>);
+static_assert(sizeof(KernelPhase) == 12 * sizeof(double),
+              "KernelPhase must stay twelve unpadded doubles");
+
 /**
  * A kernel: static resources plus a phase function.
  */
@@ -99,6 +107,26 @@ struct KernelProfile
 
     /** Phase for iteration @p iteration (applies phaseFn). */
     KernelPhase phase(int iteration) const;
+};
+
+/**
+ * What one invocation's model results depend on: the kernel (its id
+ * names the static resources) and the exact bytes of its phase. Every
+ * iteration of a phase-invariant kernel maps to one key, so caches of
+ * lattices and oracle decisions keyed on it share work across
+ * iterations. Keys order by (kernelId, memcmp of the phase bytes):
+ * byte comparison, not ==, is the contract, so -0.0 and 0.0 are
+ * different keys and no two distinct phases collide.
+ */
+struct InvocationKey
+{
+    /** The key of @p profile's iteration @p iteration. */
+    InvocationKey(const KernelProfile &profile, int iteration);
+
+    std::string kernelId;
+    KernelPhase phase;
+
+    bool operator<(const InvocationKey &other) const;
 };
 
 } // namespace harmonia

@@ -146,8 +146,16 @@ GovernorRegistry::make(const std::string &name,
 {
     const std::string key = lowered(name);
     for (const auto &[candidate, factory] : factories_) {
-        if (candidate == key)
+        if (candidate != key)
+            continue;
+        // A governor constructor that rejects the spec (say, CG
+        // targets off the device's lattice) throws ConfigError; it
+        // surfaces as an error Result, never as an exception.
+        try {
             return factory(spec);
+        } catch (...) {
+            return statusFromCurrentException();
+        }
     }
     std::string known;
     for (const std::string &n : names())

@@ -1,6 +1,7 @@
 #include "harmonia/core/oracle.hh"
 
 #include <limits>
+#include <utility>
 
 #include "harmonia/common/error.hh"
 
@@ -65,15 +66,6 @@ bestConfigIndex(const std::vector<HardwareConfig> &configs,
 }
 
 HardwareConfig
-bestConfigFor(const ConfigSweep &sweep, const KernelProfile &profile,
-              int iteration, OracleObjective objective)
-{
-    const auto &configs = sweep.configs();
-    return configs[bestConfigIndex(
-        configs, sweep.evaluate(profile, iteration), objective)];
-}
-
-HardwareConfig
 bestConfigFor(const GpuDevice &device, const KernelProfile &profile,
               int iteration, OracleObjective objective)
 {
@@ -101,18 +93,17 @@ OracleGovernor::name() const
 HardwareConfig
 OracleGovernor::decide(const KernelProfile &profile, int iteration)
 {
-    const std::string key =
-        profile.id() + "#" + std::to_string(iteration);
+    InvocationKey key(profile, iteration);
     auto it = cache_.find(key);
     if (it != cache_.end())
         return it->second;
     ++searches_;
     const auto &configs = sweep_.configs();
-    sweep_.device().runLattice(profile, profile.phase(iteration),
-                               configs, results_.data(), &sweep_.pool());
+    sweep_.device().runLattice(profile, key.phase, configs,
+                               results_.data(), &sweep_.pool());
     const HardwareConfig best =
         configs[bestConfigIndex(configs, results_, objective_)];
-    cache_.emplace(key, best);
+    cache_.emplace(std::move(key), best);
     return best;
 }
 

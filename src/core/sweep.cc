@@ -1,5 +1,8 @@
 #include "harmonia/core/sweep.hh"
 
+#include <algorithm>
+#include <utility>
+
 #include "harmonia/common/error.hh"
 
 namespace harmonia
@@ -49,17 +52,18 @@ ConfigSweep::indexOf(const HardwareConfig &cfg) const
 }
 
 ConfigSweep::Entry &
-ConfigSweep::entry(std::string kernelId, int iteration) const
+ConfigSweep::entry(const InvocationKey &key, int iteration) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return store_
-        .try_emplace(std::make_pair(std::move(kernelId), iteration),
-                     configs_.size())
-        .first->second;
+    Entry &e =
+        store_.try_emplace(key, configs_.size(), iteration).first->second;
+    e.iteration = std::min(e.iteration, iteration);
+    return e;
 }
 
 ConfigSweep::FillCounts
-ConfigSweep::fillSlots(const KernelProfile &profile, int iteration,
+ConfigSweep::fillSlots(const KernelProfile &profile,
+                       const KernelPhase &phase,
                        const std::vector<size_t> *slots,
                        Lattice &lattice) const
 {
@@ -95,7 +99,6 @@ ConfigSweep::fillSlots(const KernelProfile &profile, int iteration,
 
     // Each index writes only its own slot, so the result is
     // independent of scheduling and of which fill computed it.
-    const KernelPhase phase = profile.phase(iteration);
     try {
         if (missing.size() == configs_.size()) {
             // Nothing was stored: one canonical-order lattice run.
@@ -125,11 +128,12 @@ ConfigSweep::fillStored(const KernelProfile &profile, int iteration,
                         const std::vector<size_t> *slots,
                         FillCounts *counts) const
 {
-    Entry &e = entry(profile.id(), iteration);
-    // Held across the lattice run: a concurrent fill of the same
-    // invocation waits for these points instead of recomputing them.
+    const InvocationKey key(profile, iteration);
+    Entry &e = entry(key, iteration);
+    // Held across the lattice run: a concurrent fill of the same key
+    // waits for these points instead of recomputing them.
     std::lock_guard<std::mutex> lock(e.mutex);
-    const FillCounts filled = fillSlots(profile, iteration, slots,
+    const FillCounts filled = fillSlots(profile, key.phase, slots,
                                         e.lattice);
     (filled.computed ? misses_ : hits_)
         .fetch_add(1, std::memory_order_relaxed);
@@ -157,7 +161,7 @@ ConfigSweep::fillInto(const KernelProfile &profile, int iteration,
                       const std::vector<size_t> &slots,
                       Lattice &lattice) const
 {
-    return fillSlots(profile, iteration, &slots, lattice);
+    return fillSlots(profile, profile.phase(iteration), &slots, lattice);
 }
 
 const KernelResult &
@@ -168,13 +172,13 @@ ConfigSweep::at(const KernelProfile &profile, int iteration,
 }
 
 void
-ConfigSweep::seed(const std::string &kernelId, int iteration,
+ConfigSweep::seed(const KernelProfile &profile, int iteration,
                   const std::vector<uint32_t> &slots,
                   const std::vector<KernelResult> &results) const
 {
     panicIf(slots.size() != results.size(),
             "ConfigSweep::seed: slot and result counts differ");
-    Entry &e = entry(kernelId, iteration);
+    Entry &e = entry(InvocationKey(profile, iteration), iteration);
     std::lock_guard<std::mutex> lock(e.mutex);
     for (size_t i = 0; i < slots.size(); ++i) {
         const uint32_t slot = slots[i];
@@ -193,9 +197,23 @@ ConfigSweep::forEachEntry(
         &visit) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &[key, e] : store_) {
-        std::lock_guard<std::mutex> entryLock(e.mutex);
-        visit(key.first, key.second, e.lattice);
+    // The map orders a kernel's lattices by phase bytes; the walk
+    // orders them by iteration. No two lattices of one kernel share
+    // an iteration, since an iteration has exactly one phase.
+    std::vector<std::pair<const InvocationKey *, Entry *>> order;
+    order.reserve(store_.size());
+    for (auto &[key, e] : store_)
+        order.emplace_back(&key, &e);
+    std::sort(order.begin(), order.end(),
+              [](const auto &a, const auto &b) {
+                  if (const int c =
+                          a.first->kernelId.compare(b.first->kernelId))
+                      return c < 0;
+                  return a.second->iteration < b.second->iteration;
+              });
+    for (const auto &[key, e] : order) {
+        std::lock_guard<std::mutex> entryLock(e->mutex);
+        visit(key->kernelId, e->iteration, e->lattice);
     }
 }
 

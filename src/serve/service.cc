@@ -4,7 +4,7 @@
 #include <chrono>
 #include <iostream>
 #include <numeric>
-#include <tuple>
+#include <utility>
 
 #include "harmonia/core/governor_registry.hh"
 #include "harmonia/core/oracle.hh"
@@ -70,12 +70,13 @@ struct Service::Pending
     std::string response;
 };
 
-/** Evaluate requests fused into one lattice run. */
+/** Evaluate requests fused into one lattice run: one device and one
+ * InvocationKey, whatever iterations the members name. */
 struct Service::EvalGroup
 {
     DeviceState *dev = nullptr;
     const KernelProfile *profile = nullptr;
-    int iteration = 0;
+    int iteration = 0; ///< Smallest iteration among the members.
     std::vector<size_t> members; ///< Indices into the pending vector.
 };
 
@@ -152,15 +153,24 @@ struct Service::DeviceState
     uint64_t snapshotPoints = 0;  ///< Points restored from disk.
 
     /** Snapshot entries that passed this device's fingerprint check
-     * but have not been touched by a request yet. Decoded and seeded
-     * into the sweep's store on first touch; whatever is still here
-     * at save time is seeded then, so untouched warmth is never
+     * but have not been touched by a request yet, indexed by the
+     * InvocationKey of their (kernel, iteration): a restored
+     * iteration-0 record warms an iteration-5 request of the same
+     * phase, and records of one phase share a node. Decoded and
+     * seeded into the sweep's store on first touch; whatever is still
+     * here at save time is seeded then, so untouched warmth is never
      * dropped. */
-    std::map<std::pair<std::string, int>, EntryRef> lazyEntries;
+    std::map<InvocationKey, std::vector<EntryRef>> lazyEntries;
 };
 
 Service::Service(ServiceOptions options) : options_(std::move(options))
 {
+    // Hydration keys restored entries through the suite's profiles.
+    for (const Application &app : standardSuite()) {
+        for (const KernelProfile &kernel : app.kernels)
+            kernels_.emplace(kernel.id(), kernel);
+    }
+
     // Durable snapshot: parse the cache file once, up front; device
     // states hydrate from their section lazily as they appear. Every
     // load failure — absent file, truncation, bit flips, version
@@ -204,11 +214,6 @@ Service::Service(ServiceOptions options) : options_(std::move(options))
     const std::string canonical = state->device.name();
     devices_.emplace(canonical, std::move(state));
     hydrateFromSnapshot(*defaultDevice_);
-
-    for (const Application &app : standardSuite()) {
-        for (const KernelProfile &kernel : app.kernels)
-            kernels_.emplace(kernel.id(), kernel);
-    }
 }
 
 Service::~Service() = default;
@@ -319,6 +324,8 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
     const auto start = Clock::now();
     DeviceState &dev = *group.dev;
     const KernelProfile &profile = *group.profile;
+    // Every member shares the group's key, so the smallest iteration
+    // stands for all of them in the store.
     const int iteration = group.iteration;
 
     // The group's requested slots, repeats included: one fill
@@ -341,7 +348,7 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
     const std::vector<KernelResult> *results = nullptr;
     std::optional<ConfigSweep::Lattice> scratch;
     if (options_.cache) {
-        materializeFromSnapshot(dev, profile.id(), iteration);
+        materializeFromSnapshot(dev, profile, iteration);
         results = &dev.sweep.fill(profile, iteration, slots, &counts);
     } else {
         scratch.emplace(latticeSize);
@@ -388,12 +395,12 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
 void
 Service::runEvaluates(std::vector<Pending> &pending)
 {
-    // Group evaluate requests by (device, kernel, iteration). With
-    // batching disabled every request forms its own group, so each
-    // pays its own runLattice hoist — the comparison baseline.
+    // Group evaluate requests by (device, InvocationKey): iterations
+    // of one phase fuse into one lattice run. With batching disabled
+    // every request forms its own group, so each pays its own
+    // runLattice hoist — the comparison baseline.
     std::vector<EvalGroup> groups;
-    std::map<std::tuple<std::string, std::string, int>, size_t>
-        groupIndex;
+    std::map<std::pair<std::string, InvocationKey>, size_t> groupIndex;
     for (size_t i = 0; i < pending.size(); ++i) {
         Pending &p = pending[i];
         if (!p.parsed || p.done || p.req.verb != Verb::Evaluate)
@@ -415,19 +422,29 @@ Service::runEvaluates(std::vector<Pending> &pending)
             continue;
         }
         const KernelProfile *profile = findKernel(p.req.evaluate.kernel);
+        const int iteration = p.req.evaluate.iteration;
         if (options_.batching) {
-            const std::tuple<std::string, std::string, int> key{
-                state.device.name(), p.req.evaluate.kernel,
-                p.req.evaluate.iteration};
-            const auto it = groupIndex.find(key);
-            if (it != groupIndex.end()) {
-                groups[it->second].members.push_back(i);
+            std::optional<InvocationKey> key;
+            try {
+                key.emplace(*profile, iteration);
+            } catch (...) {
+                p.response =
+                    makeErrorResponse(p.id, statusFromCurrentException());
+                p.done = true;
+                metrics_.record(Verb::Evaluate, false, 0.0);
                 continue;
             }
-            groupIndex.emplace(key, groups.size());
+            const auto [it, fresh] = groupIndex.try_emplace(
+                std::make_pair(state.device.name(), std::move(*key)),
+                groups.size());
+            if (!fresh) {
+                EvalGroup &group = groups[it->second];
+                group.members.push_back(i);
+                group.iteration = std::min(group.iteration, iteration);
+                continue;
+            }
         }
-        groups.push_back(EvalGroup{&state, profile,
-                                   p.req.evaluate.iteration, {i}});
+        groups.push_back(EvalGroup{&state, profile, iteration, {i}});
     }
 
     for (EvalGroup &group : groups) {
@@ -502,14 +519,22 @@ Service::hydrateFromSnapshot(DeviceState &dev)
     }
 
     // Structure only — each entry body stays undecoded (a view into
-    // persistent_->bytes) until a request first touches its
-    // invocation, in materializeFromSnapshot().
+    // persistent_->bytes) until a request first touches its key, in
+    // materializeFromSnapshot(). An entry whose kernel this build's
+    // suite lacks can never be requested, so it is dropped.
     for (EntryRef &entry : section.entries) {
+        const KernelProfile *profile = findKernel(entry.kernel);
+        if (!profile)
+            continue;
+        std::optional<InvocationKey> key;
+        try {
+            key.emplace(*profile, entry.iteration);
+        } catch (...) {
+            continue; // An iteration the phase function rejects.
+        }
         ++dev.snapshotEntries;
         dev.snapshotPoints += entry.slotCount;
-        dev.lazyEntries.emplace(
-            std::make_pair(entry.kernel, entry.iteration),
-            std::move(entry));
+        dev.lazyEntries[std::move(*key)].push_back(std::move(entry));
     }
     ++persistent_->loadedDevices;
     persistent_->loadedEntries += dev.snapshotEntries;
@@ -518,34 +543,40 @@ Service::hydrateFromSnapshot(DeviceState &dev)
 
 void
 Service::materializeFromSnapshot(DeviceState &dev,
-                                 const std::string &kernelId,
+                                 const KernelProfile &profile,
                                  int iteration)
 {
     if (dev.lazyEntries.empty())
         return;
     const auto it =
-        dev.lazyEntries.find(std::make_pair(kernelId, iteration));
+        dev.lazyEntries.find(InvocationKey(profile, iteration));
     if (it == dev.lazyEntries.end())
         return;
-
-    SnapshotEntry decoded;
-    const Status status = decodeEntry(
-        it->second,
-        static_cast<uint32_t>(dev.sweep.configs().size()), &decoded);
+    const std::vector<EntryRef> refs = std::move(it->second);
     dev.lazyEntries.erase(it);
-    // The header vouched for the structure only; a body that fails
-    // its own checksum here is blob corruption, and it costs exactly
-    // this entry — logged, counted, then served cold.
-    if (!status.ok()) {
-        ++persistent_->decodeFailures;
-        std::cerr << "harmoniad: snapshot entry (" << kernelId << ", "
-                  << iteration << ") for device '"
-                  << dev.device.name() << "': " << status.message()
-                  << "; recomputing\n";
-        return;
+
+    // Every record of the key seeds the one store entry, under its
+    // own iteration; slots an earlier record filled are kept.
+    for (const EntryRef &ref : refs) {
+        SnapshotEntry decoded;
+        const Status status = decodeEntry(
+            ref, static_cast<uint32_t>(dev.sweep.configs().size()),
+            &decoded);
+        // The header vouched for the structure only; a body that
+        // fails its own checksum here is blob corruption, and it
+        // costs exactly this entry — logged, counted, then served
+        // cold.
+        if (!status.ok()) {
+            ++persistent_->decodeFailures;
+            std::cerr << "harmoniad: snapshot entry (" << ref.kernel
+                      << ", " << ref.iteration << ") for device '"
+                      << dev.device.name() << "': " << status.message()
+                      << "; recomputing\n";
+            continue;
+        }
+        dev.sweep.seed(profile, decoded.iteration, decoded.slots,
+                       decoded.results);
     }
-    dev.sweep.seed(decoded.kernel, decoded.iteration, decoded.slots,
-                   decoded.results);
 }
 
 Status
@@ -570,8 +601,10 @@ Service::savePersistentCache()
         // keeping: seed them, so the store holds every point and its
         // key-ordered walk makes the section bytes deterministic.
         while (!state->lazyEntries.empty()) {
-            const auto key = state->lazyEntries.begin()->first;
-            materializeFromSnapshot(*state, key.first, key.second);
+            const EntryRef &ref =
+                state->lazyEntries.begin()->second.front();
+            materializeFromSnapshot(*state, *findKernel(ref.kernel),
+                                    ref.iteration);
         }
         state->sweep.forEachEntry([&](const std::string &kernel,
                                       int iteration,
@@ -795,7 +828,7 @@ Service::runSweep(const SweepParams &p)
     const ConfigSweep &sweep = dev.sweep;
     const OracleObjective obj = objective.value();
 
-    materializeFromSnapshot(dev, profile->id(), p.iteration);
+    materializeFromSnapshot(dev, *profile, p.iteration);
     const std::vector<KernelResult> &results =
         sweep.evaluate(*profile, p.iteration);
     const std::vector<HardwareConfig> &configs = sweep.configs();

@@ -3,11 +3,15 @@
  * Durable evaluation-cache snapshots (docs/SERVING.md, "Persistent
  * cache"): a versioned, compact binary image of each device's point
  * store (ConfigSweep, core/sweep.hh) — partial and full lattices
- * alike, one entry per stored (kernel, iteration) in key order —
- * written on daemon drain and loaded lazily at startup, so a
- * restarted harmoniad serves previously visited (kernel, iteration,
- * config) points without re-paying the lattice cost. Restored entries
- * are seeded back into the store (ConfigSweep::seed) on first touch.
+ * alike, one entry per stored (kernel, phase) lattice, labelled with
+ * the smallest iteration that reached it and sorted by (kernel, that
+ * iteration) — written on daemon drain and loaded lazily at startup,
+ * so a restarted harmoniad serves previously visited (kernel, phase,
+ * config) points without re-paying the lattice cost. On load each
+ * entry is indexed by the (kernel, phase) key of its (kernel,
+ * iteration), so it warms every iteration of its phase; restored
+ * entries are seeded back into the store (ConfigSweep::seed) on first
+ * touch, and two entries of one phase seed one lattice.
  *
  * File layout — a checksummed structural header followed by a blob of
  * entry bodies (all integers LEB128 varints unless noted):
@@ -41,7 +45,7 @@
  * exactly) without touching a single payload byte, so a daemon boots
  * in O(header) — independent of how many points are cached — and each
  * entry's body is hashed and decoded only when a request first touches
- * its (kernel, iteration), or at the next save, whichever comes first.
+ * its (kernel, phase) key, or at the next save, whichever comes first.
  * Corruption anywhere is still caught: header damage by the header
  * hash at load, blob damage by the per-entry hash at decode, either
  * one degrading to a (logged) cold start for exactly the damaged
@@ -128,7 +132,8 @@ uint64_t hash64(std::string_view bytes,
 
 } // namespace wire
 
-/** One cached (kernel, iteration) invocation's surviving points. */
+/** One cached (kernel, phase) lattice's surviving points, under the
+ * smallest iteration that reached it. */
 struct SnapshotEntry
 {
     std::string kernel;           ///< "App.Kernel" id.

@@ -1,5 +1,7 @@
 #include "harmonia/timing/kernel_profile.hh"
 
+#include <cstring>
+
 #include "harmonia/common/error.hh"
 
 namespace harmonia
@@ -43,6 +45,19 @@ KernelProfile::phase(int iteration) const
     KernelPhase p = phaseFn ? phaseFn(basePhase, iteration) : basePhase;
     p.validate();
     return p;
+}
+
+InvocationKey::InvocationKey(const KernelProfile &profile, int iteration)
+    : kernelId(profile.id()), phase(profile.phase(iteration))
+{
+}
+
+bool
+InvocationKey::operator<(const InvocationKey &other) const
+{
+    if (const int c = kernelId.compare(other.kernelId); c != 0)
+        return c < 0;
+    return std::memcmp(&phase, &other.phase, sizeof(KernelPhase)) < 0;
 }
 
 } // namespace harmonia

@@ -304,9 +304,9 @@ TEST(FactoredEngine, OffLatticeEvaluationThrows)
 }
 
 // The sweep memo must treat the factored and naive paths as the same
-// cache: repeated evaluations hit, and the pair key distinguishes
-// iterations.
-TEST(FactoredEngine, SweepCacheKeyDistinguishesIterations)
+// cache: repeated evaluations hit, and the key distinguishes phases,
+// not iterations.
+TEST(FactoredEngine, SweepCacheKeyDistinguishesPhases)
 {
     const ConfigSweep sweep(device());
     const KernelProfile k = makeCfd().kernels.front();
@@ -317,7 +317,17 @@ TEST(FactoredEngine, SweepCacheKeyDistinguishesIterations)
     EXPECT_EQ(&first, &again);
     EXPECT_EQ(sweep.cacheHits(), 1u);
 
-    sweep.evaluate(k, 1);
-    EXPECT_EQ(sweep.cacheMisses(), 2u);
-    EXPECT_EQ(sweep.cacheEntries(), 2u);
+    // CFD's phase never changes, so iteration 1 is the same lattice.
+    EXPECT_EQ(&sweep.evaluate(k, 1), &first);
+    EXPECT_EQ(sweep.cacheHits(), 2u);
+    EXPECT_EQ(sweep.cacheEntries(), 1u);
+
+    // Graph500's frontier changes the phase from iteration 0 to 1.
+    const KernelProfile g = makeGraph500().kernels.front();
+    ASSERT_FALSE(InvocationKey(g, 0) < InvocationKey(g, 8) ||
+                 InvocationKey(g, 8) < InvocationKey(g, 0));
+    sweep.evaluate(g, 0);
+    sweep.evaluate(g, 1);
+    EXPECT_EQ(sweep.cacheMisses(), 3u);
+    EXPECT_EQ(sweep.cacheEntries(), 3u);
 }

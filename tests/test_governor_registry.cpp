@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "harmonia/core/predictor.hh"
+#include "harmonia/device.hh"
 #include "harmonia/sim/gpu_device.hh"
 #include "harmonia/workloads/suite.hh"
 
@@ -85,6 +87,39 @@ TEST_F(GovernorRegistryTest, PredictorGovernorsRequirePredictor)
         EXPECT_NE(g.status().message().find("predictor"),
                   std::string::npos)
             << name;
+    }
+}
+
+TEST_F(GovernorRegistryTest, ThrowingFactoriesReturnAnErrorResult)
+{
+    // The default HarmoniaOptions carry hd7970's CG memory targets,
+    // which are off the lattice of the other parts: the constructor
+    // throws, and make() turns that into an error Result.
+    const SensitivityPredictor predictor =
+        SensitivityPredictor::paperTable3();
+    for (const char *deviceName : {"hbm-stacked", "ampere-ga100"}) {
+        const Device device = Device::make(deviceName).value();
+        GovernorSpec spec;
+        spec.device = &device.gpu();
+        spec.predictor = &predictor;
+        for (const char *name : {"cg", "harmonia", "fg+cg", "freq-only"}) {
+            SCOPED_TRACE(std::string(deviceName) + " " + name);
+            // An escaped exception fails the test on its own.
+            const Result<std::unique_ptr<Governor>> viaRegistry =
+                makeGovernor(name, spec);
+            ASSERT_FALSE(viaRegistry.ok());
+            EXPECT_EQ(viaRegistry.status().code(),
+                      StatusCode::InvalidArgument);
+            EXPECT_NE(viaRegistry.status().message().find("mem-freq"),
+                      std::string::npos)
+                << viaRegistry.status().message();
+
+            const Result<std::unique_ptr<Governor>> viaDevice =
+                device.makeGovernor(name, &predictor);
+            ASSERT_FALSE(viaDevice.ok());
+            EXPECT_EQ(viaDevice.status().message(),
+                      viaRegistry.status().message());
+        }
     }
 }
 

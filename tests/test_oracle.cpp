@@ -68,7 +68,7 @@ TEST(Oracle, MaxPerfTieBreaksTowardTheBigConfig)
     EXPECT_EQ(cfg, device().space().maxConfig());
 }
 
-TEST(Oracle, GovernorCachesPerIterationSearches)
+TEST(Oracle, GovernorCachesPerPhaseSearches)
 {
     OracleGovernor governor(device());
     const KernelProfile k = makeComd().kernels.front();
@@ -77,11 +77,22 @@ TEST(Oracle, GovernorCachesPerIterationSearches)
     const HardwareConfig b = governor.decide(k, 0);
     EXPECT_EQ(governor.searches(), 1u);
     EXPECT_EQ(a, b);
-    governor.decide(k, 1);
-    EXPECT_EQ(governor.searches(), 2u);
+    // CoMD repeats one phase: iteration 1 reuses iteration 0's search.
+    EXPECT_EQ(governor.decide(k, 1), a);
+    EXPECT_EQ(governor.searches(), 1u);
+
+    // Graph500's frontier gives iterations 0 and 1 different phases,
+    // so each is searched; iteration 8 repeats iteration 0's phase.
+    const KernelProfile g = makeGraph500().kernels.front();
+    governor.decide(g, 0);
+    governor.decide(g, 1);
+    EXPECT_EQ(governor.searches(), 3u);
+    governor.decide(g, 8);
+    EXPECT_EQ(governor.searches(), 3u);
+
     governor.reset();
     governor.decide(k, 0);
-    EXPECT_EQ(governor.searches(), 3u);
+    EXPECT_EQ(governor.searches(), 4u);
 }
 
 TEST(Oracle, NameIncludesObjective)
@@ -127,7 +138,9 @@ TEST(Oracle, GovernorMatchesMemoizedSearch)
                                      kernel.id() + "#" +
                                      std::to_string(it));
                         const HardwareConfig want =
-                            bestConfigFor(sweep, kernel, it, obj);
+                            sweep.configs()[bestConfigIndex(
+                                sweep.configs(),
+                                sweep.evaluate(kernel, it), obj)];
                         EXPECT_EQ(serial.decide(kernel, it), want);
                         EXPECT_EQ(pooled.decide(kernel, it), want);
                         EXPECT_EQ(bestConfigFor(dev, kernel, it, obj),

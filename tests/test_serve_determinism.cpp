@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -531,6 +532,172 @@ TEST(ServeDeterminism, FullLatticesSurviveARestart)
                                          "sweep_cache", "misses"}),
                   0);
     }
+    std::remove(path.c_str());
+}
+
+/** An evaluate line for @p kernel's iteration @p iteration at the
+ * default device's configs()[slots]. */
+std::string
+evaluateLine(int id, const std::string &kernel, int iteration,
+             const std::vector<size_t> &slots)
+{
+    static const std::vector<HardwareConfig> configs =
+        GpuDevice().space().allConfigs();
+    JsonValue cfgs = JsonValue::array();
+    for (const size_t slot : slots)
+        cfgs.push(configToJson(configs[slot]));
+    return JsonValue::object({
+        {"schema", JsonValue(kRequestSchema)},
+        {"id", JsonValue(id)},
+        {"verb", JsonValue("evaluate")},
+        {"kernel", JsonValue(kernel)},
+        {"iteration", JsonValue(iteration)},
+        {"configs", std::move(cfgs)},
+    }).dump();
+}
+
+/** @p lines through a fresh --no-cache service: the reference bytes. */
+std::vector<std::string>
+uncachedReplies(const std::vector<std::string> &lines)
+{
+    ServiceOptions opt;
+    opt.cache = false;
+    Service service(opt);
+    return service.processBatch(lines);
+}
+
+// The point store and the micro-batcher key on (kernel, phase): CoMD
+// repeats one phase, so iteration 7 is served from iteration 0's
+// points, and the two coalesce when they share a batch.
+TEST(ServeDeterminism, IterationsOfOnePhaseShareOneLattice)
+{
+    const std::string kernel = makeComd().kernels.front().id();
+    const std::vector<size_t> slots = {0, 7, 21, 7};
+    const std::string first = evaluateLine(1, kernel, 0, slots);
+    const std::string later = evaluateLine(2, kernel, 7, slots);
+    const std::vector<std::string> want =
+        uncachedReplies({first, later});
+    EXPECT_NE(want[1].find("\"iteration\":7"), std::string::npos);
+
+    // One request per batch: the second computes nothing.
+    Service serial{ServiceOptions{}};
+    EXPECT_EQ(serial.processLine(first), want[0]);
+    EXPECT_EQ(statsCounter(serial,
+                           {"metrics", "batching", "points_computed"}),
+              3);
+    EXPECT_EQ(serial.processLine(later), want[1]);
+    EXPECT_EQ(statsCounter(serial,
+                           {"metrics", "batching", "points_computed"}),
+              3);
+    EXPECT_EQ(statsCounter(serial, {"sweep_cache", "entries"}), 1);
+    EXPECT_EQ(statsCounter(serial, {"sweep_cache", "hits"}), 1);
+
+    // Both in one batch: one group, one lattice run.
+    Service batched{ServiceOptions{}};
+    EXPECT_EQ(batched.processBatch({first, later}), want);
+    EXPECT_EQ(
+        statsCounter(batched, {"metrics", "batching", "lattice_runs"}), 1);
+    EXPECT_EQ(statsCounter(batched,
+                           {"metrics", "batching", "coalesced_requests"}),
+              2);
+    EXPECT_EQ(statsCounter(batched,
+                           {"metrics", "batching", "points_computed"}),
+              3);
+}
+
+// A restored lattice is found through its key, so the iteration-0
+// points a drained daemon saved serve an iteration-5 request warm.
+TEST(ServeDeterminism, RestoredLatticeWarmsALaterIterationOfItsPhase)
+{
+    const std::string path = "/tmp/harmonia_phase_snap_" +
+                             std::to_string(getpid()) + ".snap";
+    std::remove(path.c_str());
+    ServiceOptions opt;
+    opt.cacheFile = path;
+    const std::string kernel = makeComd().kernels.front().id();
+    const std::vector<size_t> slots = {3, 40, 41, 300};
+    {
+        Service service(opt);
+        service.processLine(evaluateLine(1, kernel, 0, slots));
+        ASSERT_TRUE(service.savePersistentCache().ok());
+    }
+    const std::string later = evaluateLine(2, kernel, 5, slots);
+    Service service(opt);
+    EXPECT_EQ(service.processLine(later), uncachedReplies({later})[0]);
+    EXPECT_EQ(statsCounter(service,
+                           {"metrics", "batching", "points_computed"}),
+              0);
+    EXPECT_EQ(statsCounter(service, {"cache", "persistent", "warm_hits"}),
+              4);
+    std::remove(path.c_str());
+}
+
+// A snapshot written by the (kernel, iteration)-keyed store may hold
+// two records of one phase. Both seed the one lattice, the
+// overlapping slots are kept once, and the next save writes a single
+// record under the smaller iteration.
+TEST(ServeDeterminism, TwoRecordsOfOnePhaseLoadIntoOneLattice)
+{
+    const std::string path = "/tmp/harmonia_dup_snap_" +
+                             std::to_string(getpid()) + ".snap";
+    std::remove(path.c_str());
+    const GpuDevice device;
+    const std::vector<HardwareConfig> configs = device.space().allConfigs();
+    const KernelProfile kernel = makeComd().kernels.front();
+    auto record = [&](int iteration, uint32_t first, uint32_t count) {
+        SnapshotEntry entry;
+        entry.kernel = kernel.id();
+        entry.iteration = iteration;
+        std::vector<HardwareConfig> subset;
+        for (uint32_t slot = first; slot < first + count; ++slot) {
+            entry.slots.push_back(slot);
+            subset.push_back(configs[slot]);
+        }
+        entry.results.resize(count);
+        device.runLattice(kernel, kernel.phase(iteration), subset,
+                          entry.results.data());
+        return entry;
+    };
+    DeviceSection section;
+    section.device = device.name();
+    section.fingerprint = modelFingerprint(device, configs);
+    section.latticeSize = static_cast<uint32_t>(configs.size());
+    section.entries.push_back(record(0, 0, 10));
+    section.entries.push_back(record(3, 5, 10));
+    Snapshot snap;
+    snap.devices.push_back(std::move(section));
+    ASSERT_TRUE(writeSnapshotFile(path, snap).ok());
+
+    std::vector<size_t> slots(15);
+    std::iota(slots.begin(), slots.end(), size_t{0});
+    const std::string line = evaluateLine(1, kernel.id(), 9, slots);
+    ServiceOptions opt;
+    opt.cacheFile = path;
+    {
+        Service service(opt);
+        EXPECT_EQ(service.processLine(line), uncachedReplies({line})[0]);
+        EXPECT_EQ(statsCounter(service,
+                               {"cache", "persistent", "load", "entries"}),
+                  2);
+        EXPECT_EQ(statsCounter(service,
+                               {"cache", "persistent", "decode_failures"}),
+                  0);
+        EXPECT_EQ(statsCounter(service,
+                               {"metrics", "batching", "points_computed"}),
+                  0);
+        EXPECT_EQ(
+            statsCounter(service, {"cache", "persistent", "warm_hits"}),
+            15);
+        ASSERT_TRUE(service.savePersistentCache().ok());
+    }
+    const Result<Snapshot> saved = readSnapshotFile(path);
+    ASSERT_TRUE(saved.ok()) << saved.status().str();
+    ASSERT_EQ(saved.value().devices.size(), 1u);
+    const std::vector<SnapshotEntry> &entries =
+        saved.value().devices.front().entries;
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries.front().iteration, 0);
+    EXPECT_EQ(entries.front().slots.size(), 15u);
     std::remove(path.c_str());
 }
 

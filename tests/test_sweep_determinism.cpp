@@ -8,8 +8,9 @@
  * search, sensitivity ground truth, training, and the full campaign,
  * each compared across 1, 2, and 8 worker threads with exact
  * (bitwise) double equality. Also covers the point store: hit
- * accounting, overlapping concurrent slot fills, seeded (restored)
- * slots, and the per-task RNG substream scheme.
+ * accounting, its (kernel, phase bytes) key, overlapping concurrent
+ * slot fills, seeded (restored) slots, and the per-task RNG substream
+ * scheme.
  */
 
 #include <gtest/gtest.h>
@@ -73,8 +74,12 @@ TEST(SweepDeterminism, OracleSearchIsThreadCountInvariant)
                 for (OracleObjective obj :
                      {OracleObjective::MinEd2, OracleObjective::MaxPerf,
                       OracleObjective::MinEnergy}) {
-                    EXPECT_EQ(bestConfigFor(serial, kernel, 0, obj),
-                              bestConfigFor(parallel, kernel, 0, obj))
+                    EXPECT_EQ(
+                        bestConfigIndex(serial.configs(),
+                                        serial.evaluate(kernel, 0), obj),
+                        bestConfigIndex(parallel.configs(),
+                                        parallel.evaluate(kernel, 0),
+                                        obj))
                         << kernel.id() << " jobs=" << jobs;
                 }
             }
@@ -192,8 +197,8 @@ TEST(SweepDeterminism, CacheHitAccountingOnRepeatedRuns)
     EXPECT_EQ(sweep.cacheMisses(), 1u);
     EXPECT_EQ(sweep.cacheHits(), 2u);
 
-    // A different invocation is a fresh miss.
-    sweep.evaluate(kernel, 1);
+    // A different kernel is a fresh miss.
+    sweep.evaluate(suite.front().kernels[1], 0);
     EXPECT_EQ(sweep.cacheMisses(), 2u);
     EXPECT_EQ(sweep.cacheEntries(), 2u);
 
@@ -258,6 +263,113 @@ TEST(SweepDeterminism, OverlappingSlotFillsMatchASerialLattice)
     }
 }
 
+TEST(SweepDeterminism, IterationsOfOnePhaseShareOneLattice)
+{
+    // CoMD never changes phase: iteration 7 is iteration 0's lattice.
+    const KernelProfile kernel = makeComd().kernels.front();
+    ConfigSweep sweep(device(), {.jobs = 2});
+    const std::vector<KernelResult> &first = sweep.evaluate(kernel, 0);
+    const std::vector<KernelResult> &second = sweep.evaluate(kernel, 7);
+    EXPECT_EQ(&first, &second);
+    EXPECT_EQ(sweep.cacheEntries(), 1u);
+    EXPECT_EQ(sweep.cacheMisses(), 1u);
+    EXPECT_EQ(sweep.cacheHits(), 1u);
+}
+
+TEST(SweepDeterminism, DistinctPhasesGetDistinctLattices)
+{
+    // Graph500's frontier gives iterations 0 and 1 different phases.
+    const KernelProfile kernel = makeGraph500().kernels.front();
+    ConfigSweep sweep(device(), {.jobs = 2});
+    sweep.evaluate(kernel, 1);
+    sweep.evaluate(kernel, 0);
+    sweep.evaluate(kernel, 8); // Iteration 0's phase again.
+    EXPECT_EQ(sweep.cacheEntries(), 2u);
+    EXPECT_EQ(sweep.cacheMisses(), 2u);
+    EXPECT_EQ(sweep.cacheHits(), 1u);
+
+    // The walk orders a kernel's lattices by the smallest iteration
+    // that reached each, not by phase bytes.
+    std::vector<int> iterations;
+    sweep.forEachEntry([&](const std::string &id, int iteration,
+                           const ConfigSweep::Lattice &) {
+        EXPECT_EQ(id, kernel.id());
+        iterations.push_back(iteration);
+    });
+    EXPECT_EQ(iterations, (std::vector<int>{0, 1}));
+}
+
+TEST(SweepDeterminism, KeysComparePhaseBytesNotValues)
+{
+    // 0.0 == -0.0, but the key is the phase's bytes: a phase function
+    // that flips only the sign of a zero field makes two lattices.
+    KernelProfile kernel = makeComd().kernels.front();
+    kernel.basePhase.branchDivergence = 0.0;
+    kernel.phaseFn = [](const KernelPhase &base, int iteration) {
+        KernelPhase p = base;
+        p.branchDivergence = iteration % 2 ? -0.0 : 0.0;
+        return p;
+    };
+    ASSERT_EQ(kernel.phase(0).branchDivergence,
+              kernel.phase(1).branchDivergence);
+    ConfigSweep sweep(device(), {.jobs = 1});
+    sweep.fill(kernel, 0, {0, 1});
+    sweep.fill(kernel, 1, {0, 1});
+    sweep.fill(kernel, 2, {0, 1});
+    EXPECT_EQ(sweep.cacheEntries(), 2u);
+    EXPECT_EQ(sweep.cacheMisses(), 2u);
+    EXPECT_EQ(sweep.cacheHits(), 1u);
+}
+
+TEST(SweepDeterminism, OverlappingFillsThroughIterationsOfOnePhase)
+{
+    // Four pool threads fill overlapping half-lattice slices, each
+    // naming a different iteration of one phase-invariant kernel:
+    // they all land in one lattice, which must equal a serial
+    // canonical run bit for bit.
+    const KernelProfile kernel = makeBpt().kernels.front();
+    ConfigSweep sweep(device(), {.jobs = 4});
+    const size_t n = sweep.configs().size();
+
+    std::vector<KernelResult> serial(n);
+    device().runLattice(kernel, kernel.phase(0), sweep.configs(),
+                        serial.data());
+
+    constexpr size_t kFills = 4;
+    std::vector<std::vector<size_t>> slices(kFills);
+    for (size_t t = 0; t < kFills; ++t)
+        for (size_t i = 0; i < n / 2; ++i)
+            slices[t].push_back((t * n / 8 + 5 * i) % n);
+    std::vector<ConfigSweep::FillCounts> counts(kFills);
+    sweep.pool().parallelFor(kFills, 1, [&](size_t t) {
+        sweep.fill(kernel, static_cast<int>(3 * t + 2), slices[t],
+                   &counts[t]);
+    });
+    size_t computed = 0;
+    for (size_t t = 0; t < kFills; ++t) {
+        EXPECT_EQ(counts[t].computed + counts[t].cached,
+                  slices[t].size());
+        computed += counts[t].computed;
+    }
+    EXPECT_LE(computed, n);
+
+    const std::vector<KernelResult> &full = sweep.evaluate(kernel, 20);
+    EXPECT_EQ(sweep.cacheEntries(), 1u);
+    ASSERT_EQ(full.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(full[i].time(), serial[i].time()) << i;
+        EXPECT_EQ(full[i].power.total(), serial[i].power.total()) << i;
+        EXPECT_EQ(full[i].cardEnergy, serial[i].cardEnergy) << i;
+        EXPECT_EQ(full[i].gpuEnergy, serial[i].gpuEnergy) << i;
+        EXPECT_EQ(full[i].memEnergy, serial[i].memEnergy) << i;
+    }
+    // The lattice remembers the smallest iteration that reached it.
+    sweep.forEachEntry([&](const std::string &, int iteration,
+                           const ConfigSweep::Lattice &) {
+        EXPECT_EQ(iteration, 2);
+    });
+}
+
 TEST(SweepDeterminism, SeededSlotsAreServedNotRecomputed)
 {
     const auto suite = miniSuite();
@@ -267,7 +379,7 @@ TEST(SweepDeterminism, SeededSlotsAreServedNotRecomputed)
         ConfigSweep(device(), {.jobs = 1}).evaluate(kernel, 0);
 
     // Restore three points, then ask for two of them plus one more.
-    sweep.seed(kernel.id(), 0, {0, 5, 9},
+    sweep.seed(kernel, 0, {0, 5, 9},
                {reference[0], reference[5], reference[9]});
     ConfigSweep::FillCounts counts;
     sweep.fill(kernel, 0, {5, 9, 9, 7}, &counts);

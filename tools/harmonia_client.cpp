@@ -27,8 +27,9 @@
  *   --kernels M      Distinct kernels to spread requests over
  *                    (default 4).
  *   --group G        Consecutive requests sharing one
- *                    (kernel, iteration) — the unit the daemon's
- *                    micro-batcher can coalesce (default 4).
+ *                    (kernel, iteration) (default 4). The daemon's
+ *                    micro-batcher coalesces requests of one
+ *                    (kernel, phase), so a group always can fuse.
  *   --device NAME    Tag requests with a registered device profile
  *                    (repeatable). One name sends the whole stream to
  *                    that device; several deal cohorts across them
