@@ -49,7 +49,7 @@ main(int argc, char **argv)
     const ConfigSpace &space = device.space();
     const auto &results = sweep.evaluate(kernel, 0);
     const auto &configs = sweep.configs();
-    const KernelResult &maxRun =
+    const PointResult &maxRun =
         results[sweep.indexOf(space.maxConfig())];
 
     // Balance summary: best perf and best ED^2 per memory config.
@@ -62,7 +62,7 @@ main(int argc, char **argv)
         for (size_t i = 0; i < configs.size(); ++i) {
             if (configs[i].memFreqMhz != memF)
                 continue;
-            const KernelResult &r = results[i];
+            const PointResult &r = results[i];
             bestTime = std::min(bestTime, r.time());
             if (r.ed2() < bestEd2) {
                 bestEd2 = r.ed2();
@@ -85,7 +85,7 @@ main(int argc, char **argv)
           OracleObjective::MinEd, OracleObjective::MinEnergy}) {
         const size_t best = bestConfigIndex(configs, results, obj);
         const HardwareConfig &cfg = configs[best];
-        const KernelResult &r = results[best];
+        const PointResult &r = results[best];
         winners.row()
             .cell(oracleObjectiveName(obj))
             .cell(cfg.str())

@@ -1,19 +1,24 @@
 /**
  * @file
  * Model checker: drives the invariant registry over every
- * (application x kernel x iteration x 448-config) point of a workload
- * suite, reusing the parallel, memoized ConfigSweep engine so the
- * sweep cost is shared with any campaign evaluating the same device.
+ * (application x kernel x iteration x lattice-config) point of a
+ * workload suite. Each invocation runs the whole lattice into one
+ * reused KernelResult buffer (the invariants read every field, not
+ * just the served ones the point store keeps); ConfigSweep supplies
+ * only the canonical enumeration and the pool. Consecutive
+ * iterations that share an InvocationKey reuse the buffered lattice.
  *
- * Determinism: invocations are visited in suite order, each sweep is
- * bit-identical for any thread count (see sweep.hh), and invariants
- * run serially over the finished result vector, so the report —
- * including the order of its diagnostics — is independent of --jobs.
+ * Determinism: invocations are visited in suite order, each lattice
+ * is bit-identical for any thread count (see sweep.hh), and
+ * invariants run serially over the finished result vector, so the
+ * report — including the order of its diagnostics — is independent
+ * of --jobs.
  */
 
 #ifndef HARMONIA_CHECK_CHECKER_HH
 #define HARMONIA_CHECK_CHECKER_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,15 +78,16 @@ class ModelChecker
         return invariants_;
     }
 
-    /** Check one kernel invocation across all 448 configurations. */
+    /** Check one kernel invocation across every lattice
+     * configuration. Not thread-safe: the lattice buffer is shared
+     * across calls. */
     CheckReport checkInvocation(const KernelProfile &profile,
                                 int iteration) const;
 
     /** Check every (kernel, iteration) of one application. */
     CheckReport checkApplication(const Application &app) const;
 
-    /** Check a whole suite, in order; memoized sweeps are dropped
-     * between applications to bound memory. */
+    /** Check a whole suite, in order. */
     CheckReport checkSuite(const std::vector<Application> &suite) const;
 
   private:
@@ -89,7 +95,11 @@ class ModelChecker
     CheckOptions options_;
     std::vector<Invariant> invariants_;
     SensitivityPredictor predictor_;
-    ConfigSweep sweep_;
+    ConfigSweep sweep_; ///< Enumeration and pool; its store stays empty.
+
+    /** The last invocation's lattice and its key. */
+    mutable std::vector<KernelResult> results_;
+    mutable std::optional<InvocationKey> resultsKey_;
 };
 
 } // namespace harmonia

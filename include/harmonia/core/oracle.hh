@@ -43,18 +43,25 @@ enum class OracleObjective
 /** Printable objective name. */
 const char *oracleObjectiveName(OracleObjective objective);
 
-/** The score @p objective minimizes for one evaluated point. */
-double objectiveScore(const KernelResult &result, OracleObjective objective);
+/**
+ * The score @p objective minimizes for one evaluated point. Defined
+ * for KernelResult (a search buffer) and PointResult (a stored
+ * point), whose ed()/ed2() agree bit for bit.
+ */
+template <typename Point>
+double objectiveScore(const Point &result, OracleObjective objective);
 
 /**
  * The oracle's reduction: index of the best results[i] (evaluated at
  * configs[i]) under @p objective, by a serial walk in configs order.
  * MaxPerf near-ties (relative 1e-6) go to the largest configuration.
  * With no finite score it returns the last index, which is the
- * maximum configuration of the canonical enumeration.
+ * maximum configuration of the canonical enumeration. Defined for
+ * the same two result types as objectiveScore().
  */
+template <typename Point>
 size_t bestConfigIndex(const std::vector<HardwareConfig> &configs,
-                       const std::vector<KernelResult> &results,
+                       const std::vector<Point> &results,
                        OracleObjective objective);
 
 /** Exhaustive-search oracle. */

@@ -13,14 +13,17 @@
  * It is also the device's one store of evaluated points: a lattice
  * per (kernel id, phase bytes) InvocationKey, each slot absent,
  * computed, or restored from a durable snapshot. Every iteration of a
- * phase-invariant kernel therefore shares one lattice. evaluate()
- * fills the whole lattice, fill() just the slots a request names, and
- * seed() inserts restored points, so check_model, the exhibits and
- * the serving daemon's `sweep` and `evaluate` verbs share the points.
- * Each lattice remembers the smallest iteration that reached it, and
- * the snapshot writer walks them in (kernel id, that iteration) order
- * (forEachEntry). OracleGovernor uses only the enumeration and the
- * pool and never fills the store.
+ * phase-invariant kernel therefore shares one lattice. A slot keeps
+ * the five served numbers of its point (PointResult: time, power and
+ * three energies), 40 bytes instead of a 328-byte KernelResult.
+ * evaluate() fills the whole lattice, fill() just the slots a request
+ * names, and seed() inserts restored points, so the serving daemon's
+ * `sweep` and `evaluate` verbs, the cross-device exhibit and the
+ * design-space example share the points. Each lattice remembers the
+ * smallest iteration that reached it, and the snapshot writer walks
+ * them in (kernel id, that iteration) order (forEachEntry).
+ * OracleGovernor and ModelChecker, which need whole KernelResults,
+ * use only the enumeration and the pool and never fill the store.
  *
  * Determinism: the device model is const and purely functional, each
  * configuration's result is written to its own pre-assigned slot, a
@@ -86,7 +89,8 @@ class ConfigSweep
 
     /** One (kernel, phase)'s lattice: results[i] and slots[i]
      * belong to configs()[i]; results of absent slots are
-     * value-initialized placeholders. */
+     * value-initialized placeholders. Each point keeps only its
+     * served numbers (PointResult), not the whole KernelResult. */
     struct Lattice
     {
         explicit Lattice(size_t points)
@@ -94,7 +98,7 @@ class ConfigSweep
         {
         }
 
-        std::vector<KernelResult> results;
+        std::vector<PointResult> results;
         std::vector<Slot> slots;
     };
 
@@ -132,12 +136,8 @@ class ConfigSweep
      * stored takes one canonical-order runLattice. The returned
      * reference stays valid until clearCache().
      */
-    const std::vector<KernelResult> &evaluate(const KernelProfile &profile,
-                                              int iteration) const;
-
-    /** One stored/computed result by configuration. */
-    const KernelResult &at(const KernelProfile &profile, int iteration,
-                           const HardwareConfig &cfg) const;
+    const std::vector<PointResult> &evaluate(const KernelProfile &profile,
+                                             int iteration) const;
 
     /**
      * The slot-subset evaluate(): compute whichever of @p slots
@@ -146,7 +146,7 @@ class ConfigSweep
      * lattice-sized vector are guaranteed filled. A fill that
      * computes nothing is a cache hit, any other a miss.
      */
-    const std::vector<KernelResult> &
+    const std::vector<PointResult> &
     fill(const KernelProfile &profile, int iteration,
          const std::vector<size_t> &slots,
          FillCounts *counts = nullptr) const;
@@ -162,7 +162,7 @@ class ConfigSweep
      * Restored. Slots already stored are kept. */
     void seed(const KernelProfile &profile, int iteration,
               const std::vector<uint32_t> &slots,
-              const std::vector<KernelResult> &results) const;
+              const std::vector<PointResult> &results) const;
 
     /** Visit every stored lattice in (kernel id, iteration) order,
      * where iteration is the smallest one that reached the lattice.
@@ -207,7 +207,8 @@ class ConfigSweep
     Entry &entry(const InvocationKey &key, int iteration) const;
 
     /** fillInto() of @p phase over @p slots, or every slot when
-     * null. */
+     * null: the absent ones run in one runLattice into a
+     * KernelResult scratch, each projected into its slot. */
     FillCounts fillSlots(const KernelProfile &profile,
                          const KernelPhase &phase,
                          const std::vector<size_t> *slots,
@@ -215,7 +216,7 @@ class ConfigSweep
 
     /** fillSlots() on the store entry, under its lock, counted as a
      * hit or a miss. */
-    const std::vector<KernelResult> &
+    const std::vector<PointResult> &
     fillStored(const KernelProfile &profile, int iteration,
                const std::vector<size_t> *slots,
                FillCounts *counts) const;

@@ -22,7 +22,6 @@ struct ExperimentInfo
 {
     std::string name;         ///< registry key (e.g. "fig10")
     std::string description;  ///< one-line summary
-    std::string legacyBinary; ///< pre-driver binary name, "" if none
     std::string tier;         ///< ctest tier: "exp" or "bench"
     int order = 1000;         ///< paper exhibit order (sort key)
 };

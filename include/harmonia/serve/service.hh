@@ -190,7 +190,7 @@ class Service
     void runEvalGroup(EvalGroup &group, std::vector<Pending> &pending);
     JsonValue evaluateResultJson(const DeviceState &dev,
                                  const EvaluateParams &p,
-                                 const std::vector<KernelResult> &full);
+                                 const std::vector<PointResult> &full);
     Result<JsonValue> runGovern(const GovernParams &p);
     Result<JsonValue> runSweep(const SweepParams &p);
     Result<std::unique_ptr<Governor>>

@@ -22,6 +22,27 @@
 namespace harmonia
 {
 
+/**
+ * The five numbers a stored lattice point serves: time, total card
+ * power and the card/GPU/memory energies, from which ED and ED^2
+ * follow. This is what the point store (core/sweep.hh) and its
+ * snapshot keep per point; KernelResult::point() projects a full
+ * result onto it. time(), ed() and ed2() evaluate KernelResult's
+ * expressions in the same order, so the values are bitwise equal.
+ */
+struct PointResult
+{
+    double timeS = 0.0;      ///< Execution time (s).
+    double powerW = 0.0;     ///< Average total card power (W).
+    double cardEnergy = 0.0; ///< Card energy over the kernel (J).
+    double gpuEnergy = 0.0;  ///< Chip-only energy (J).
+    double memEnergy = 0.0;  ///< Memory-only energy (J).
+
+    double time() const { return timeS; }
+    double ed() const { return cardEnergy * time(); }
+    double ed2() const { return cardEnergy * time() * time(); }
+};
+
 /** Result of one kernel invocation on the device. */
 struct KernelResult
 {
@@ -39,6 +60,12 @@ struct KernelResult
 
     /** Energy-delay-squared product (J*s^2). */
     double ed2() const { return cardEnergy * time() * time(); }
+
+    /** The served projection of this result. */
+    PointResult point() const
+    {
+        return {time(), power.total(), cardEnergy, gpuEnergy, memEnergy};
+    }
 };
 
 /**

@@ -39,7 +39,8 @@ ModelChecker::ModelChecker(const GpuDevice &device, CheckOptions options)
     : device_(device), options_(std::move(options)),
       invariants_(selectInvariants(options_.invariantIds)),
       predictor_(SensitivityPredictor::paperTable3()),
-      sweep_(device, SweepOptions{.jobs = options_.jobs})
+      sweep_(device, SweepOptions{.jobs = options_.jobs}),
+      results_(sweep_.configs().size())
 {
     fatalIf(options_.relTol < 0.0,
             "ModelChecker: negative tolerance ", options_.relTol);
@@ -49,15 +50,22 @@ CheckReport
 ModelChecker::checkInvocation(const KernelProfile &profile,
                               int iteration) const
 {
-    const std::vector<KernelResult> &results =
-        sweep_.evaluate(profile, iteration);
+    InvocationKey key(profile, iteration);
+    const bool same = resultsKey_ && !(*resultsKey_ < key) &&
+                      !(key < *resultsKey_);
+    if (!same) {
+        resultsKey_.reset(); // A throwing run leaves no stale key.
+        device_.runLattice(profile, key.phase, sweep_.configs(),
+                           results_.data(), &sweep_.pool());
+        resultsKey_ = std::move(key);
+    }
 
-    InvariantContext ctx{device_,          profile, iteration,
-                         sweep_.configs(), results, predictor_,
+    InvariantContext ctx{device_,          profile,  iteration,
+                         sweep_.configs(), results_, predictor_,
                          options_.relTol};
     CheckReport report;
     report.invocations = 1;
-    report.points = results.size();
+    report.points = results_.size();
     report.checksRun = invariants_.size();
     report.violations = runInvariants(ctx, invariants_);
     return report;
@@ -83,10 +91,8 @@ CheckReport
 ModelChecker::checkSuite(const std::vector<Application> &suite) const
 {
     CheckReport report;
-    for (const Application &app : suite) {
+    for (const Application &app : suite)
         report.merge(checkApplication(app));
-        sweep_.clearCache();
-    }
     return report;
 }
 

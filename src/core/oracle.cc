@@ -20,8 +20,9 @@ oracleObjectiveName(OracleObjective objective)
     return "unknown";
 }
 
+template <typename Point>
 double
-objectiveScore(const KernelResult &result, OracleObjective objective)
+objectiveScore(const Point &result, OracleObjective objective)
 {
     switch (objective) {
       case OracleObjective::MinEd2: return result.ed2();
@@ -32,9 +33,10 @@ objectiveScore(const KernelResult &result, OracleObjective objective)
     panic("objectiveScore: bad objective");
 }
 
+template <typename Point>
 size_t
 bestConfigIndex(const std::vector<HardwareConfig> &configs,
-                const std::vector<KernelResult> &results,
+                const std::vector<Point> &results,
                 OracleObjective objective)
 {
     fatalIf(configs.empty() || results.size() != configs.size(),
@@ -64,6 +66,15 @@ bestConfigIndex(const std::vector<HardwareConfig> &configs,
     }
     return bestIdx;
 }
+
+template double objectiveScore(const KernelResult &, OracleObjective);
+template double objectiveScore(const PointResult &, OracleObjective);
+template size_t bestConfigIndex(const std::vector<HardwareConfig> &,
+                                const std::vector<KernelResult> &,
+                                OracleObjective);
+template size_t bestConfigIndex(const std::vector<HardwareConfig> &,
+                                const std::vector<PointResult> &,
+                                OracleObjective);
 
 HardwareConfig
 bestConfigFor(const GpuDevice &device, const KernelProfile &profile,

@@ -100,20 +100,22 @@ ConfigSweep::fillSlots(const KernelProfile &profile,
     // Each index writes only its own slot, so the result is
     // independent of scheduling and of which fill computed it.
     try {
+        std::vector<KernelResult> computed(missing.size());
         if (missing.size() == configs_.size()) {
             // Nothing was stored: one canonical-order lattice run.
-            device_.runLattice(profile, phase, configs_,
-                               lattice.results.data(), pool_.get());
+            device_.runLattice(profile, phase, configs_, computed.data(),
+                               pool_.get());
+            for (size_t slot = 0; slot < computed.size(); ++slot)
+                lattice.results[slot] = computed[slot].point();
         } else {
             std::vector<HardwareConfig> configs;
             configs.reserve(missing.size());
             for (const size_t slot : missing)
                 configs.push_back(configs_[slot]);
-            std::vector<KernelResult> computed(missing.size());
             device_.runLattice(profile, phase, configs, computed.data(),
                                pool_.get());
             for (size_t i = 0; i < missing.size(); ++i)
-                lattice.results[missing[i]] = computed[i];
+                lattice.results[missing[i]] = computed[i].point();
         }
     } catch (...) {
         for (const size_t slot : missing)
@@ -123,7 +125,7 @@ ConfigSweep::fillSlots(const KernelProfile &profile,
     return counts;
 }
 
-const std::vector<KernelResult> &
+const std::vector<PointResult> &
 ConfigSweep::fillStored(const KernelProfile &profile, int iteration,
                         const std::vector<size_t> *slots,
                         FillCounts *counts) const
@@ -142,13 +144,13 @@ ConfigSweep::fillStored(const KernelProfile &profile, int iteration,
     return e.lattice.results;
 }
 
-const std::vector<KernelResult> &
+const std::vector<PointResult> &
 ConfigSweep::evaluate(const KernelProfile &profile, int iteration) const
 {
     return fillStored(profile, iteration, nullptr, nullptr);
 }
 
-const std::vector<KernelResult> &
+const std::vector<PointResult> &
 ConfigSweep::fill(const KernelProfile &profile, int iteration,
                   const std::vector<size_t> &slots,
                   FillCounts *counts) const
@@ -164,17 +166,10 @@ ConfigSweep::fillInto(const KernelProfile &profile, int iteration,
     return fillSlots(profile, profile.phase(iteration), &slots, lattice);
 }
 
-const KernelResult &
-ConfigSweep::at(const KernelProfile &profile, int iteration,
-                const HardwareConfig &cfg) const
-{
-    return evaluate(profile, iteration)[indexOf(cfg)];
-}
-
 void
 ConfigSweep::seed(const KernelProfile &profile, int iteration,
                   const std::vector<uint32_t> &slots,
-                  const std::vector<KernelResult> &results) const
+                  const std::vector<PointResult> &results) const
 {
     panicIf(slots.size() != results.size(),
             "ConfigSweep::seed: slot and result counts differ");

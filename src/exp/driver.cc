@@ -155,7 +155,6 @@ listExperiments()
         ExperimentInfo info;
         info.name = e->name();
         info.description = e->description();
-        info.legacyBinary = e->legacyBinary();
         info.tier = e->tier();
         info.order = e->order();
         out.push_back(std::move(info));
@@ -208,14 +207,9 @@ runDriver(int argc, char **argv)
     const ExperimentRegistry &registry = ExperimentRegistry::instance();
 
     if (opt.list) {
-        TextTable table({"experiment", "tier", "legacy binary",
-                         "description"});
+        TextTable table({"experiment", "tier", "description"});
         for (const ExperimentInfo &e : listExperiments()) {
-            table.row()
-                .cell(e.name)
-                .cell(e.tier)
-                .cell(e.legacyBinary.empty() ? "-" : e.legacyBinary)
-                .cell(e.description);
+            table.row().cell(e.name).cell(e.tier).cell(e.description);
         }
         table.print(std::cout,
                     "Registered experiments (" +

@@ -34,7 +34,6 @@ class ExtCrossDevice final : public Experiment
 {
   public:
     std::string name() const override { return "cross_device"; }
-    std::string legacyBinary() const override { return ""; }
     std::string description() const override
     {
         return "Cross-device oracle ED2 landscape and governor "
@@ -69,7 +68,7 @@ class ExtCrossDevice final : public Experiment
             // out at the maximum configuration.
             for (const Application &app : probes) {
                 const KernelProfile &kernel = app.kernels.front();
-                const std::vector<KernelResult> &lattice =
+                const std::vector<PointResult> &lattice =
                     sweep.evaluate(kernel, 0);
                 const HardwareConfig max = device.space().maxConfig();
                 const double maxEd2 =

@@ -92,7 +92,6 @@ class MicroSweep final : public Experiment
 {
   public:
     std::string name() const override { return "micro_sweep"; }
-    std::string legacyBinary() const override { return "micro_sweep"; }
     std::string description() const override
     {
         return "Sweep throughput: naive vs batched lattice path";

@@ -44,12 +44,12 @@ parseObjective(const std::string &name)
 }
 
 JsonValue
-kernelResultJson(const HardwareConfig &cfg, const KernelResult &r)
+pointResultJson(const HardwareConfig &cfg, const PointResult &r)
 {
     return JsonValue::object({
         {"config", configToJson(cfg)},
         {"time_s", JsonValue(r.time())},
-        {"power_w", JsonValue(r.power.total())},
+        {"power_w", JsonValue(r.powerW)},
         {"card_energy_j", JsonValue(r.cardEnergy)},
         {"gpu_energy_j", JsonValue(r.gpuEnergy)},
         {"mem_energy_j", JsonValue(r.memEnergy)},
@@ -290,17 +290,17 @@ Service::validateEvaluate(const DeviceState &dev,
 JsonValue
 Service::evaluateResultJson(const DeviceState &dev,
                             const EvaluateParams &p,
-                            const std::vector<KernelResult> &full)
+                            const std::vector<PointResult> &full)
 {
     JsonValue results = JsonValue::array();
     if (p.fullLattice) {
         const auto &configs = dev.sweep.configs();
         for (size_t i = 0; i < configs.size(); ++i)
-            results.push(kernelResultJson(configs[i], full[i]));
+            results.push(pointResultJson(configs[i], full[i]));
     } else {
         for (const HardwareConfig &cfg : p.configs)
             results.push(
-                kernelResultJson(cfg, full[dev.sweep.indexOf(cfg)]));
+                pointResultJson(cfg, full[dev.sweep.indexOf(cfg)]));
     }
     const int64_t count =
         static_cast<int64_t>(results.asArray().size());
@@ -345,7 +345,7 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
     }
 
     ConfigSweep::FillCounts counts;
-    const std::vector<KernelResult> *results = nullptr;
+    const std::vector<PointResult> *results = nullptr;
     std::optional<ConfigSweep::Lattice> scratch;
     if (options_.cache) {
         materializeFromSnapshot(dev, profile, iteration);
@@ -829,12 +829,12 @@ Service::runSweep(const SweepParams &p)
     const OracleObjective obj = objective.value();
 
     materializeFromSnapshot(dev, *profile, p.iteration);
-    const std::vector<KernelResult> &results =
+    const std::vector<PointResult> &results =
         sweep.evaluate(*profile, p.iteration);
     const std::vector<HardwareConfig> &configs = sweep.configs();
     const size_t bestIdx = bestConfigIndex(configs, results, obj);
 
-    JsonValue bestJson = kernelResultJson(configs[bestIdx], results[bestIdx]);
+    JsonValue bestJson = pointResultJson(configs[bestIdx], results[bestIdx]);
     bestJson.set("score", JsonValue(objectiveScore(results[bestIdx], obj)));
 
     JsonValue out = JsonValue::object({
@@ -862,7 +862,7 @@ Service::runSweep(const SweepParams &p)
         JsonValue top = JsonValue::array();
         for (size_t i = 0; i < n; ++i) {
             const size_t idx = order[i];
-            JsonValue row = kernelResultJson(configs[idx], results[idx]);
+            JsonValue row = pointResultJson(configs[idx], results[idx]);
             row.set("score", JsonValue(objectiveScore(results[idx], obj)));
             top.push(std::move(row));
         }

@@ -152,138 +152,24 @@ corrupt(const std::string &what)
 } // namespace
 
 void
-appendKernelResult(std::string &out, const KernelResult &r,
-                   DeltaChain *chain)
+appendPointResult(std::string &out, const PointResult &r,
+                  DeltaChain *chain)
 {
     chain->cursor = 0; // One lane per field, same order every result.
-
-    const KernelTiming &t = r.timing;
-    putDeltaDouble(out, t.execTime, chain);
-    putDeltaDouble(out, t.computeTime, chain);
-    putDeltaDouble(out, t.l2Time, chain);
-    putDeltaDouble(out, t.memTime, chain);
-    putDeltaDouble(out, t.launchOverhead, chain);
-    putDeltaDouble(out, t.busyTime, chain);
-
-    putVarint(out, static_cast<uint64_t>(t.occupancy.wavesPerSimd));
-    putVarint(out, static_cast<uint64_t>(t.occupancy.wavesPerCu));
-    putVarint(out, static_cast<uint64_t>(t.occupancy.workgroupsPerCu));
-    putDeltaDouble(out, t.occupancy.occupancy, chain);
-    putVarint(out, static_cast<uint64_t>(t.occupancy.limiter));
-
-    putDeltaDouble(out, t.l2HitRate, chain);
-    putDeltaDouble(out, t.requestedBytes, chain);
-    putDeltaDouble(out, t.offChipBytes, chain);
-
-    putDeltaDouble(out, t.bandwidth.effectiveBps, chain);
-    putDeltaDouble(out, t.bandwidth.latency, chain);
-    putVarint(out, static_cast<uint64_t>(t.bandwidth.limiter));
-
-    const CounterSet &c = t.counters;
-    putDeltaDouble(out, c.valuBusy, chain);
-    putDeltaDouble(out, c.valuUtilization, chain);
-    putDeltaDouble(out, c.memUnitBusy, chain);
-    putDeltaDouble(out, c.memUnitStalled, chain);
-    putDeltaDouble(out, c.writeUnitStalled, chain);
-    putDeltaDouble(out, c.l2CacheHit, chain);
-    putDeltaDouble(out, c.icActivity, chain);
-    putDeltaDouble(out, c.normVgpr, chain);
-    putDeltaDouble(out, c.normSgpr, chain);
-    putDeltaDouble(out, c.valuInsts, chain);
-    putDeltaDouble(out, c.vfetchInsts, chain);
-    putDeltaDouble(out, c.vwriteInsts, chain);
-    putDeltaDouble(out, c.offChipBytes, chain);
-
-    putDeltaDouble(out, r.power.gpu.cuDynamic, chain);
-    putDeltaDouble(out, r.power.gpu.uncoreDynamic, chain);
-    putDeltaDouble(out, r.power.gpu.leakage, chain);
-    putDeltaDouble(out, r.power.mem.background, chain);
-    putDeltaDouble(out, r.power.mem.activatePrecharge, chain);
-    putDeltaDouble(out, r.power.mem.readWrite, chain);
-    putDeltaDouble(out, r.power.mem.termination, chain);
-    putDeltaDouble(out, r.power.mem.phy, chain);
-    putDeltaDouble(out, r.power.other, chain);
-
+    putDeltaDouble(out, r.timeS, chain);
+    putDeltaDouble(out, r.powerW, chain);
     putDeltaDouble(out, r.cardEnergy, chain);
     putDeltaDouble(out, r.gpuEnergy, chain);
     putDeltaDouble(out, r.memEnergy, chain);
 }
 
 bool
-readKernelResult(std::string_view &in, KernelResult *r,
-                 DeltaChain *chain)
+readPointResult(std::string_view &in, PointResult *r, DeltaChain *chain)
 {
     chain->cursor = 0;
-
-    KernelTiming &t = r->timing;
-    uint64_t v = 0;
-    if (!getDeltaDouble(in, &t.execTime, chain) ||
-        !getDeltaDouble(in, &t.computeTime, chain) ||
-        !getDeltaDouble(in, &t.l2Time, chain) ||
-        !getDeltaDouble(in, &t.memTime, chain) ||
-        !getDeltaDouble(in, &t.launchOverhead, chain) ||
-        !getDeltaDouble(in, &t.busyTime, chain))
-        return false;
-
-    if (!getCheckedInt(in, 1u << 20, &v))
-        return false;
-    t.occupancy.wavesPerSimd = static_cast<int>(v);
-    if (!getCheckedInt(in, 1u << 20, &v))
-        return false;
-    t.occupancy.wavesPerCu = static_cast<int>(v);
-    if (!getCheckedInt(in, 1u << 20, &v))
-        return false;
-    t.occupancy.workgroupsPerCu = static_cast<int>(v);
-    if (!getDeltaDouble(in, &t.occupancy.occupancy, chain))
-        return false;
-    if (!getCheckedInt(
-            in, static_cast<uint64_t>(OccupancyLimiter::Workgroup),
-            &v))
-        return false;
-    t.occupancy.limiter = static_cast<OccupancyLimiter>(v);
-
-    if (!getDeltaDouble(in, &t.l2HitRate, chain) ||
-        !getDeltaDouble(in, &t.requestedBytes, chain) ||
-        !getDeltaDouble(in, &t.offChipBytes, chain))
-        return false;
-
-    if (!getDeltaDouble(in, &t.bandwidth.effectiveBps, chain) ||
-        !getDeltaDouble(in, &t.bandwidth.latency, chain))
-        return false;
-    if (!getCheckedInt(
-            in, static_cast<uint64_t>(BandwidthLimiter::Concurrency),
-            &v))
-        return false;
-    t.bandwidth.limiter = static_cast<BandwidthLimiter>(v);
-
-    CounterSet &c = t.counters;
-    if (!getDeltaDouble(in, &c.valuBusy, chain) ||
-        !getDeltaDouble(in, &c.valuUtilization, chain) ||
-        !getDeltaDouble(in, &c.memUnitBusy, chain) ||
-        !getDeltaDouble(in, &c.memUnitStalled, chain) ||
-        !getDeltaDouble(in, &c.writeUnitStalled, chain) ||
-        !getDeltaDouble(in, &c.l2CacheHit, chain) ||
-        !getDeltaDouble(in, &c.icActivity, chain) ||
-        !getDeltaDouble(in, &c.normVgpr, chain) ||
-        !getDeltaDouble(in, &c.normSgpr, chain) ||
-        !getDeltaDouble(in, &c.valuInsts, chain) ||
-        !getDeltaDouble(in, &c.vfetchInsts, chain) ||
-        !getDeltaDouble(in, &c.vwriteInsts, chain) ||
-        !getDeltaDouble(in, &c.offChipBytes, chain))
-        return false;
-
-    if (!getDeltaDouble(in, &r->power.gpu.cuDynamic, chain) ||
-        !getDeltaDouble(in, &r->power.gpu.uncoreDynamic, chain) ||
-        !getDeltaDouble(in, &r->power.gpu.leakage, chain) ||
-        !getDeltaDouble(in, &r->power.mem.background, chain) ||
-        !getDeltaDouble(in, &r->power.mem.activatePrecharge, chain) ||
-        !getDeltaDouble(in, &r->power.mem.readWrite, chain) ||
-        !getDeltaDouble(in, &r->power.mem.termination, chain) ||
-        !getDeltaDouble(in, &r->power.mem.phy, chain) ||
-        !getDeltaDouble(in, &r->power.other, chain))
-        return false;
-
-    return getDeltaDouble(in, &r->cardEnergy, chain) &&
+    return getDeltaDouble(in, &r->timeS, chain) &&
+           getDeltaDouble(in, &r->powerW, chain) &&
+           getDeltaDouble(in, &r->cardEnergy, chain) &&
            getDeltaDouble(in, &r->gpuEnergy, chain) &&
            getDeltaDouble(in, &r->memEnergy, chain);
 }
@@ -344,8 +230,8 @@ encodeSnapshot(const Snapshot &snap)
                 prevSlot = entry.slots[i];
             }
             DeltaChain chain;
-            for (const KernelResult &r : entry.results)
-                appendKernelResult(body, r, &chain);
+            for (const PointResult &r : entry.results)
+                appendPointResult(body, r, &chain);
             putVarint(out, body.size());
             putHash(out, wire::hash64(body));
             blob.append(body);
@@ -479,7 +365,7 @@ decodeEntry(const EntryRef &ref, uint32_t latticeSize,
     out->results.resize(ref.slotCount);
     DeltaChain chain;
     for (uint32_t s = 0; s < ref.slotCount; ++s) {
-        if (!readKernelResult(body, &out->results[s], &chain))
+        if (!readPointResult(body, &out->results[s], &chain))
             return corrupt("truncated point payload");
     }
     if (!body.empty())
@@ -530,16 +416,13 @@ modelFingerprint(const GpuDevice &device,
         putVarint(probe, static_cast<uint64_t>(cfg.memFreqMhz));
     }
 
-    // Struct sizes: a field added to any serialized struct changes
-    // the fingerprint even before the codec learns about it.
-    putVarint(probe, sizeof(KernelResult));
-    putVarint(probe, sizeof(KernelTiming));
-    putVarint(probe, sizeof(CounterSet));
-    putVarint(probe, sizeof(CardPowerBreakdown));
+    // Record size: a field added to the stored record changes the
+    // fingerprint even before the codec learns about it.
+    putVarint(probe, sizeof(PointResult));
 
     // Behavioral probes: run a spread of suite kernels at the lattice
-    // corners and midpoint and hash every result bit. Any model
-    // constant that can influence a cached metric flows through here.
+    // corners and midpoint and hash every served bit. Any model
+    // constant that can influence a cached number flows through here.
     // run() is the naive reference path, bitwise identical to the
     // batched lattice path by the equivalence contract, so the
     // fingerprint is independent of the SIMD backend and job count.
@@ -557,9 +440,9 @@ modelFingerprint(const GpuDevice &device,
             const KernelProfile &kernel = suite[app].kernels.front();
             putString(probe, kernel.id());
             for (const size_t idx : configIdx) {
-                const KernelResult r =
-                    device.run(kernel, 0, lattice[idx]);
-                appendKernelResult(probe, r, &chain);
+                appendPointResult(
+                    probe, device.run(kernel, 0, lattice[idx]).point(),
+                    &chain);
             }
         }
     }

@@ -33,11 +33,11 @@
  *   blob: every entry body concatenated in header order
  *     body:
  *       slots: strictly increasing lattice indices, delta-coded
- *       payload: one serialized KernelResult per slot — every
- *         double is XOR-delta coded in a per-field lane (field i of
- *         point j deltas against field i of point j-1), so the
- *         near-identical neighbouring lattice points shrink to a
- *         few bytes per field; ints/enums are plain varints
+ *       payload: one PointResult per slot, its five doubles (time,
+ *         power, card/GPU/memory energy) each XOR-delta coded in a
+ *         lane of its own (field i of point j deltas against field i
+ *         of point j-1), so the near-identical neighbouring lattice
+ *         points shrink to a few bytes per field
  *
  * Splitting header from blob is what makes the startup path cheap:
  * indexSnapshot() validates the header (its own checksum plus every
@@ -56,10 +56,13 @@
  * point was computed this process or restored from disk.
  *
  * Invalidation: each section carries modelFingerprint(), a behavioral
- * hash of the device — its name, lattice axes, serialized-struct
- * sizes, and probe kernel results. Any change to the model constants,
- * the device profile, or the serialization layout changes the
- * fingerprint and the section degrades to a clean cold start.
+ * hash of the device — its name, lattice axes, the stored record's
+ * size, and the served fields of probe kernel results. Any change to
+ * the device profile, the record layout, or a model constant that
+ * moves a served number changes the fingerprint and the section
+ * degrades to a clean cold start; a model change that cannot alter a
+ * served byte leaves it valid. A file of another format version
+ * (HSNP v3 stored whole KernelResults) cold-starts the same way.
  *
  * Error contract: this is serving-layer code (serve-no-throw); every
  * failure — unreadable file, truncation, bit flips, version skew —
@@ -84,7 +87,7 @@ namespace harmonia::serve
 {
 
 /** Bump on any layout change; mismatching files cold-start. */
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /** Leading magic of every snapshot file. */
 inline constexpr std::string_view kSnapshotMagic = "HSNP";
@@ -99,15 +102,15 @@ void putVarint(std::string &out, uint64_t v);
 bool getVarint(std::string_view &in, uint64_t *v);
 
 /**
- * Per-field XOR chain state for double payloads. Each double field
- * of a KernelResult occupies its own lane, so point j's field deltas
- * against point j-1's *same* field — the quantity that is actually
- * small for neighbouring lattice points. The cursor walks the lanes
- * in field order and resets once per serialized result.
+ * Per-field XOR chain state for double payloads. Each of a
+ * PointResult's five fields occupies its own lane, so point j's field
+ * deltas against point j-1's *same* field — the quantity that is
+ * actually small for neighbouring lattice points. The cursor walks
+ * the lanes in field order and resets once per serialized result.
  */
 struct DeltaChain
 {
-    std::array<uint64_t, 64> lanes{};
+    std::array<uint64_t, sizeof(PointResult) / sizeof(double)> lanes{};
     size_t cursor = 0;
 };
 
@@ -139,7 +142,7 @@ struct SnapshotEntry
     std::string kernel;           ///< "App.Kernel" id.
     int iteration = 0;
     std::vector<uint32_t> slots;  ///< Lattice indices, sorted unique.
-    std::vector<KernelResult> results; ///< Parallel to slots.
+    std::vector<PointResult> results; ///< Parallel to slots.
 };
 
 /** All cached points of one device, stamped for invalidation. */
@@ -187,17 +190,16 @@ struct SnapshotIndex
 };
 
 /**
- * Serialize one KernelResult (37 doubles, 3 ints, 2 enums) into the
- * delta stream. @p chain carries the per-field lanes across an
- * entry's payload; the cursor resets here, once per result.
+ * Serialize one PointResult (five doubles) into the delta stream.
+ * @p chain carries the per-field lanes across an entry's payload;
+ * the cursor resets here, once per result.
  */
-void appendKernelResult(std::string &out, const KernelResult &r,
-                        wire::DeltaChain *chain);
+void appendPointResult(std::string &out, const PointResult &r,
+                       wire::DeltaChain *chain);
 
-/** Inverse of appendKernelResult; false on truncation or an
- * out-of-range enum (corruption). */
-bool readKernelResult(std::string_view &in, KernelResult *r,
-                      wire::DeltaChain *chain);
+/** Inverse of appendPointResult; false on truncation. */
+bool readPointResult(std::string_view &in, PointResult *r,
+                     wire::DeltaChain *chain);
 
 /** Encode @p snap into the file byte layout, checksum included. */
 std::string encodeSnapshot(const Snapshot &snap);
@@ -215,8 +217,7 @@ Status indexSnapshot(std::string_view bytes, SnapshotIndex *out);
  * @p latticeSize, first checking the body against its header hash —
  * blob corruption is caught here, cold-starting only the damaged
  * entry. Structurally defensive beyond the hash: slot indices must be
- * strictly increasing and in range, enums in range, and the body
- * fully consumed.
+ * strictly increasing and in range, and the body fully consumed.
  */
 Status decodeEntry(const EntryRef &ref, uint32_t latticeSize,
                    SnapshotEntry *out);
@@ -231,10 +232,10 @@ Status decodeSnapshot(std::string_view bytes, Snapshot *out);
 /**
  * Behavioral model-version hash of @p device over @p lattice: mixes
  * the snapshot format version, the device name, the lattice axis
- * values, the serialized-struct sizes, and probe run() results for a
- * spread of suite kernels at the lattice corners/midpoint. Any model
- * or profile change that can alter a cached metric changes some probe
- * bit and therefore the fingerprint.
+ * values, sizeof(PointResult), and the served fields of probe run()
+ * results for a spread of suite kernels at the lattice
+ * corners/midpoint. Any model or profile change that can alter a
+ * cached number changes some probe bit and therefore the fingerprint.
  */
 uint64_t modelFingerprint(const GpuDevice &device,
                           const std::vector<HardwareConfig> &lattice);

@@ -79,13 +79,13 @@ TEST(CrossDevice, ScalarAndSimdAgreeOffTheDefaultLattice)
     for (const char *name : {"hbm-stacked", "ampere-ga100"}) {
         const GpuDevice device = makeDevice(name).value();
         const ConfigSweep sweep(device, SweepOptions{1});
-        const std::vector<KernelResult> &a = sweep.evaluate(k, 0);
+        const std::vector<PointResult> &a = sweep.evaluate(k, 0);
         ASSERT_EQ(a.size(), sweep.configs().size());
         for (size_t i = 0; i < a.size(); ++i) {
             const KernelResult b = device.run(k, phase, sweep.configs()[i]);
             ASSERT_EQ(a[i].time(), b.time()) << name << " point " << i;
             ASSERT_EQ(a[i].ed2(), b.ed2()) << name << " point " << i;
-            ASSERT_EQ(a[i].power.total(), b.power.total())
+            ASSERT_EQ(a[i].powerW, b.power.total())
                 << name << " point " << i;
         }
     }

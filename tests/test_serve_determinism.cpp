@@ -461,9 +461,9 @@ TEST(ServeDeterminism, ResponsesIndependentOfSnapshotState)
     std::remove(path.c_str());
 }
 
-/** Counter at @p path under a fresh `stats` reply's result. */
-int64_t
-statsCounter(Service &service, std::initializer_list<const char *> path)
+/** A fresh `stats` reply's result. */
+JsonValue
+statsResult(Service &service)
 {
     const JsonValue req = JsonValue::object({
         {"schema", JsonValue(kRequestSchema)},
@@ -471,11 +471,82 @@ statsCounter(Service &service, std::initializer_list<const char *> path)
     });
     const Result<JsonValue> doc = parseJson(service.processLine(req.dump()));
     EXPECT_TRUE(doc.ok());
-    const JsonValue *v = doc.ok() ? doc.value().find("result") : nullptr;
+    const JsonValue *result = doc.ok() ? doc.value().find("result") : nullptr;
+    EXPECT_NE(result, nullptr);
+    return result ? *result : JsonValue();
+}
+
+/** Counter at @p path under a fresh `stats` reply's result. */
+int64_t
+statsCounter(Service &service, std::initializer_list<const char *> path)
+{
+    const JsonValue result = statsResult(service);
+    const JsonValue *v = &result;
     for (const char *key : path)
         v = v && v->isObject() ? v->find(key) : nullptr;
     EXPECT_NE(v, nullptr);
     return v ? v->asInt() : -1;
+}
+
+// A snapshot from the HSNP v3 writer (whole KernelResults per point)
+// is version skew: the daemon logs it, reports it as load_warning,
+// cold-starts, and replies exactly as it would without the file. The
+// next save replaces it with a current-version file.
+TEST(ServeDeterminism, Version3SnapshotColdStarts)
+{
+    const std::vector<std::string> base = replay(2, true, 1000);
+    const std::string path = "/tmp/harmonia_v3_snap_" +
+                             std::to_string(getpid()) + ".snap";
+    std::remove(path.c_str());
+    EXPECT_EQ(base, cacheReplay(path, true));
+    std::string good;
+    ASSERT_TRUE(readSnapshotBytes(path, &good).ok());
+
+    // Relabel the file as v3: same header layout, version 3, header
+    // hash recomputed, so only the version can reject it.
+    SnapshotIndex index;
+    ASSERT_TRUE(indexSnapshot(good, &index).ok());
+    const size_t headerLen = static_cast<size_t>(
+        index.sections.front().entries.front().body.data() -
+        good.data()) - 8;
+    std::string v3 = good;
+    v3[kSnapshotMagic.size()] = 3;
+    const uint64_t hash =
+        wire::hash64(std::string_view(v3).substr(0, headerLen));
+    for (size_t i = 0; i < 8; ++i)
+        v3[headerLen + i] = static_cast<char>((hash >> (8 * i)) & 0xff);
+    EXPECT_EQ(StatusCode::FailedPrecondition,
+              indexSnapshot(v3, &index).code());
+    clobberFile(path, v3);
+
+    ServiceOptions opt;
+    opt.jobs = 2;
+    opt.cacheFile = path;
+    std::vector<std::string> replies;
+    JsonValue stats;
+    std::ostringstream sink;
+    std::streambuf *cerrBuf = std::cerr.rdbuf(sink.rdbuf());
+    {
+        Service service(opt);
+        replies = service.processBatch(requestStream(service.sweep()));
+        stats = statsResult(service);
+        EXPECT_TRUE(service.savePersistentCache().ok());
+    }
+    std::cerr.rdbuf(cerrBuf);
+    EXPECT_EQ(base, replies);
+    EXPECT_NE(sink.str().find("cold start"), std::string::npos);
+    const JsonValue *cache = stats.find("cache");
+    const JsonValue *persistent = cache ? cache->find("persistent") : nullptr;
+    ASSERT_NE(persistent, nullptr);
+    EXPECT_FALSE(persistent->find("loaded")->asBool());
+    EXPECT_NE(persistent->find("load_warning")->asString().find("version 3"),
+              std::string::npos);
+    EXPECT_EQ(persistent->find("warm_hits")->asInt(), 0);
+
+    std::string rewritten;
+    ASSERT_TRUE(readSnapshotBytes(path, &rewritten).ok());
+    EXPECT_EQ(rewritten, good);
+    std::remove(path.c_str());
 }
 
 // Full lattices persist: a `configs:"all"` evaluate lands in the same
@@ -653,9 +724,11 @@ TEST(ServeDeterminism, TwoRecordsOfOnePhaseLoadIntoOneLattice)
             entry.slots.push_back(slot);
             subset.push_back(configs[slot]);
         }
-        entry.results.resize(count);
+        std::vector<KernelResult> results(count);
         device.runLattice(kernel, kernel.phase(iteration), subset,
-                          entry.results.data());
+                          results.data());
+        for (const KernelResult &r : results)
+            entry.results.push_back(r.point());
         return entry;
     };
     DeviceSection section;

@@ -11,6 +11,7 @@
 
 #include "harmonia/serve/service.hh"
 
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "harmonia/common/error.hh"
 #include "harmonia/serve/json.hh"
 #include "harmonia/serve/protocol.hh"
+#include "harmonia/sim/device_registry.hh"
 #include "harmonia/workloads/suite.hh"
 
 using namespace harmonia;
@@ -227,6 +229,54 @@ TEST(ServeDevice, SweepLooksTheMemoUpOnce)
     ASSERT_TRUE(isOk(roundTrip(service, req)));
     EXPECT_EQ(sweepCache("hits"), 1);
     EXPECT_EQ(sweepCache("misses"), 1);
+}
+
+TEST(ServeDevice, EvaluateNumbersAreTheReferenceRunBitForBit)
+{
+    // The store keeps five numbers per point; every served number,
+    // ed2 included, must still be the reference run()'s bit for bit.
+    Service service(ServiceOptions{});
+    const KernelProfile kernel = makeGraph500().kernels.front();
+    for (const std::string &name : deviceNames()) {
+        const GpuDevice device = makeDevice(name).value();
+        const std::vector<HardwareConfig> configs =
+            device.space().allConfigs();
+        std::vector<HardwareConfig> spread;
+        JsonValue cfgs = JsonValue::array();
+        for (size_t i = 0; i < configs.size(); i += configs.size() / 9) {
+            spread.push_back(configs[i]);
+            cfgs.push(configToJson(configs[i]));
+        }
+        spread.push_back(configs.back());
+        cfgs.push(configToJson(configs.back()));
+
+        JsonValue req = request("evaluate");
+        req.set("kernel", JsonValue(kernel.id()));
+        req.set("iteration", JsonValue(1));
+        req.set("device", JsonValue(name));
+        req.set("configs", std::move(cfgs));
+        const JsonValue resp = roundTrip(service, req);
+        ASSERT_TRUE(isOk(resp)) << resp.dump();
+        const JsonValue::Array &rows =
+            resp.find("result")->find("results")->asArray();
+        ASSERT_EQ(rows.size(), spread.size());
+        for (size_t i = 0; i < spread.size(); ++i) {
+            const KernelResult ref = device.run(kernel, 1, spread[i]);
+            auto served = [&](const char *field) {
+                return std::bit_cast<uint64_t>(
+                    rows[i].find(field)->asDouble());
+            };
+            auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+            const std::string where = name + " " + spread[i].str();
+            EXPECT_EQ(served("time_s"), bits(ref.time())) << where;
+            EXPECT_EQ(served("power_w"), bits(ref.power.total())) << where;
+            EXPECT_EQ(served("card_energy_j"), bits(ref.cardEnergy))
+                << where;
+            EXPECT_EQ(served("gpu_energy_j"), bits(ref.gpuEnergy)) << where;
+            EXPECT_EQ(served("mem_energy_j"), bits(ref.memEnergy)) << where;
+            EXPECT_EQ(served("ed2"), bits(ref.ed2())) << where;
+        }
+    }
 }
 
 TEST(ServeDevice, NoCacheEvaluatesBypassThePointStore)

@@ -18,6 +18,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -53,7 +54,7 @@ fixture()
 
 /** Real model output for @p kernelIdx at a few lattice points — the
  * codec is exercised on the bit patterns it actually stores. */
-std::vector<KernelResult>
+std::vector<PointResult>
 realResults(size_t kernelIdx, int iteration, size_t count)
 {
     const std::vector<Application> suite = standardSuite();
@@ -65,51 +66,23 @@ realResults(size_t kernelIdx, int iteration, size_t count)
         *kernels[kernelIdx % kernels.size()];
     const std::vector<HardwareConfig> &configs =
         fixture().sweep.configs();
-    std::vector<KernelResult> results;
-    for (size_t i = 0; i < count; ++i)
-        results.push_back(fixture().device.run(
-            kernel, iteration,
-            configs[(i * 37) % configs.size()]));
+    std::vector<PointResult> results;
+    for (size_t i = 0; i < count; ++i) {
+        const HardwareConfig &cfg = configs[(i * 37) % configs.size()];
+        results.push_back(
+            fixture().device.run(kernel, iteration, cfg).point());
+    }
     return results;
 }
 
 /** Bitwise equality of every serialized field. */
 void
-expectBitwiseEqual(const KernelResult &a, const KernelResult &b,
+expectBitwiseEqual(const PointResult &a, const PointResult &b,
                    const std::string &what)
 {
     auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
-    EXPECT_EQ(bits(a.timing.execTime), bits(b.timing.execTime))
-        << what;
-    EXPECT_EQ(bits(a.timing.computeTime), bits(b.timing.computeTime))
-        << what;
-    EXPECT_EQ(bits(a.timing.memTime), bits(b.timing.memTime)) << what;
-    EXPECT_EQ(a.timing.occupancy.wavesPerCu,
-              b.timing.occupancy.wavesPerCu)
-        << what;
-    EXPECT_EQ(static_cast<int>(a.timing.occupancy.limiter),
-              static_cast<int>(b.timing.occupancy.limiter))
-        << what;
-    EXPECT_EQ(bits(a.timing.l2HitRate), bits(b.timing.l2HitRate))
-        << what;
-    EXPECT_EQ(bits(a.timing.bandwidth.effectiveBps),
-              bits(b.timing.bandwidth.effectiveBps))
-        << what;
-    EXPECT_EQ(static_cast<int>(a.timing.bandwidth.limiter),
-              static_cast<int>(b.timing.bandwidth.limiter))
-        << what;
-    EXPECT_EQ(bits(a.timing.counters.valuBusy),
-              bits(b.timing.counters.valuBusy))
-        << what;
-    EXPECT_EQ(bits(a.timing.counters.offChipBytes),
-              bits(b.timing.counters.offChipBytes))
-        << what;
-    EXPECT_EQ(bits(a.power.gpu.cuDynamic), bits(b.power.gpu.cuDynamic))
-        << what;
-    EXPECT_EQ(bits(a.power.mem.termination),
-              bits(b.power.mem.termination))
-        << what;
-    EXPECT_EQ(bits(a.power.other), bits(b.power.other)) << what;
+    EXPECT_EQ(bits(a.timeS), bits(b.timeS)) << what;
+    EXPECT_EQ(bits(a.powerW), bits(b.powerW)) << what;
     EXPECT_EQ(bits(a.cardEnergy), bits(b.cardEnergy)) << what;
     EXPECT_EQ(bits(a.gpuEnergy), bits(b.gpuEnergy)) << what;
     EXPECT_EQ(bits(a.memEnergy), bits(b.memEnergy)) << what;
@@ -272,19 +245,30 @@ TEST(SnapshotWire, DeltaDoubleLanesAreLossless)
     EXPECT_TRUE(in.empty());
 }
 
-TEST(SnapshotWire, KernelResultRoundTripIsBitwise)
+TEST(SnapshotWire, PointResultRoundTripIsBitwise)
 {
-    const std::vector<KernelResult> results = realResults(3, 2, 16);
+    std::vector<PointResult> results = realResults(3, 2, 16);
+    // Bit patterns the model does not produce but the five lanes must
+    // still carry exactly: signed zero, infinities, a NaN with a
+    // payload, and a denormal, each in a different field.
+    const double nan = std::bit_cast<double>(0x7ff80000deadbeefull);
+    const double denormal = std::bit_cast<double>(0x000000000000abcdull);
+    results.push_back({-0.0, std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity(), nan,
+                       denormal});
+    results.push_back({denormal, nan, 0.0, -0.0, 1.0});
+    results.push_back(realResults(5, 0, 1).front());
+
     std::string buf;
     wire::DeltaChain enc;
-    for (const KernelResult &r : results)
-        appendKernelResult(buf, r, &enc);
+    for (const PointResult &r : results)
+        appendPointResult(buf, r, &enc);
 
     std::string_view in = buf;
     wire::DeltaChain dec;
     for (size_t i = 0; i < results.size(); ++i) {
-        KernelResult got;
-        ASSERT_TRUE(readKernelResult(in, &got, &dec));
+        PointResult got;
+        ASSERT_TRUE(readPointResult(in, &got, &dec));
         expectBitwiseEqual(results[i], got,
                            "result " + std::to_string(i));
     }
@@ -335,13 +319,17 @@ TEST(Snapshot, VersionSkewIsFailedPreconditionNotCorruption)
     // A file from a future (or past) writer: valid by its own rules,
     // unreadable by ours. The loader must say "version skew" before
     // it says anything else — the daemon logs it and cold-starts.
-    std::string bytes(kSnapshotMagic);
-    wire::putVarint(bytes, kSnapshotFormatVersion + 1);
-    bytes.append(16, '\0'); // Whatever a future header looks like.
-    SnapshotIndex index;
-    const Status status = indexSnapshot(bytes, &index);
-    EXPECT_EQ(StatusCode::FailedPrecondition, status.code())
-        << status.message();
+    // The past writer is HSNP v3, which stored whole KernelResults.
+    for (const uint32_t version :
+         {kSnapshotFormatVersion - 1, kSnapshotFormatVersion + 1}) {
+        std::string bytes(kSnapshotMagic);
+        wire::putVarint(bytes, version);
+        bytes.append(16, '\0'); // Whatever that header looks like.
+        SnapshotIndex index;
+        const Status status = indexSnapshot(bytes, &index);
+        EXPECT_EQ(StatusCode::FailedPrecondition, status.code())
+            << status.message();
+    }
 }
 
 TEST(Snapshot, HeaderBitFlipsAreRejectedAtIndexTime)

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "harmonia/core/campaign.hh"
@@ -22,6 +23,7 @@
 #include "harmonia/core/sensitivity.hh"
 #include "harmonia/core/sweep.hh"
 #include "harmonia/core/training.hh"
+#include "harmonia/sim/device_registry.hh"
 #include "harmonia/workloads/suite.hh"
 
 using namespace harmonia;
@@ -89,19 +91,21 @@ TEST(SweepDeterminism, OracleSearchIsThreadCountInvariant)
 
 TEST(SweepDeterminism, SweepEvaluationBitIdenticalToDirectRuns)
 {
-    const auto suite = miniSuite();
-    const KernelProfile &kernel = suite.front().kernels.front();
-    ConfigSweep sweep(device(), {.jobs = 8});
-    const auto &results = sweep.evaluate(kernel, 0);
-    const auto &configs = sweep.configs();
-    ASSERT_EQ(results.size(), configs.size());
-    const KernelPhase phase = kernel.phase(0);
-    for (size_t i = 0; i < configs.size(); i += 17) {
-        const KernelResult direct =
-            device().run(kernel, phase, configs[i]);
-        EXPECT_EQ(results[i].time(), direct.time());
-        EXPECT_EQ(results[i].cardEnergy, direct.cardEnergy);
-        EXPECT_EQ(results[i].ed2(), direct.ed2());
+    // Every stored record is the served projection of the reference
+    // run() at its configuration, bit for bit, on every device.
+    const KernelProfile kernel = makeGraph500().kernels.front();
+    for (const std::string &name : deviceNames()) {
+        const GpuDevice dev = makeDevice(name).value();
+        ConfigSweep sweep(dev, {.jobs = 8});
+        const std::vector<PointResult> &results = sweep.evaluate(kernel, 1);
+        const std::vector<HardwareConfig> &configs = sweep.configs();
+        ASSERT_EQ(results.size(), configs.size());
+        const size_t stride = configs.size() / 40 + 1;
+        for (size_t i = 0; i < configs.size(); i += stride) {
+            const PointResult direct = dev.run(kernel, 1, configs[i]).point();
+            EXPECT_EQ(std::memcmp(&results[i], &direct, sizeof direct), 0)
+                << name << " slot " << i;
+        }
     }
 }
 
@@ -251,12 +255,12 @@ TEST(SweepDeterminism, OverlappingSlotFillsMatchASerialLattice)
     EXPECT_LE(computed, n);
     EXPECT_EQ(sweep.cacheHits() + sweep.cacheMisses(), kFills);
 
-    const std::vector<KernelResult> &full = sweep.evaluate(kernel, 1);
+    const std::vector<PointResult> &full = sweep.evaluate(kernel, 1);
     EXPECT_EQ(sweep.cacheEntries(), 1u);
     ASSERT_EQ(full.size(), n);
     for (size_t i = 0; i < n; ++i) {
         EXPECT_EQ(full[i].time(), serial[i].time()) << i;
-        EXPECT_EQ(full[i].power.total(), serial[i].power.total()) << i;
+        EXPECT_EQ(full[i].powerW, serial[i].power.total()) << i;
         EXPECT_EQ(full[i].cardEnergy, serial[i].cardEnergy) << i;
         EXPECT_EQ(full[i].gpuEnergy, serial[i].gpuEnergy) << i;
         EXPECT_EQ(full[i].memEnergy, serial[i].memEnergy) << i;
@@ -268,8 +272,8 @@ TEST(SweepDeterminism, IterationsOfOnePhaseShareOneLattice)
     // CoMD never changes phase: iteration 7 is iteration 0's lattice.
     const KernelProfile kernel = makeComd().kernels.front();
     ConfigSweep sweep(device(), {.jobs = 2});
-    const std::vector<KernelResult> &first = sweep.evaluate(kernel, 0);
-    const std::vector<KernelResult> &second = sweep.evaluate(kernel, 7);
+    const std::vector<PointResult> &first = sweep.evaluate(kernel, 0);
+    const std::vector<PointResult> &second = sweep.evaluate(kernel, 7);
     EXPECT_EQ(&first, &second);
     EXPECT_EQ(sweep.cacheEntries(), 1u);
     EXPECT_EQ(sweep.cacheMisses(), 1u);
@@ -353,12 +357,12 @@ TEST(SweepDeterminism, OverlappingFillsThroughIterationsOfOnePhase)
     }
     EXPECT_LE(computed, n);
 
-    const std::vector<KernelResult> &full = sweep.evaluate(kernel, 20);
+    const std::vector<PointResult> &full = sweep.evaluate(kernel, 20);
     EXPECT_EQ(sweep.cacheEntries(), 1u);
     ASSERT_EQ(full.size(), n);
     for (size_t i = 0; i < n; ++i) {
         EXPECT_EQ(full[i].time(), serial[i].time()) << i;
-        EXPECT_EQ(full[i].power.total(), serial[i].power.total()) << i;
+        EXPECT_EQ(full[i].powerW, serial[i].power.total()) << i;
         EXPECT_EQ(full[i].cardEnergy, serial[i].cardEnergy) << i;
         EXPECT_EQ(full[i].gpuEnergy, serial[i].gpuEnergy) << i;
         EXPECT_EQ(full[i].memEnergy, serial[i].memEnergy) << i;
@@ -375,7 +379,7 @@ TEST(SweepDeterminism, SeededSlotsAreServedNotRecomputed)
     const auto suite = miniSuite();
     const KernelProfile &kernel = suite.front().kernels.front();
     ConfigSweep sweep(device(), {.jobs = 1});
-    const std::vector<KernelResult> reference =
+    const std::vector<PointResult> reference =
         ConfigSweep(device(), {.jobs = 1}).evaluate(kernel, 0);
 
     // Restore three points, then ask for two of them plus one more.
