@@ -9,10 +9,12 @@
  * compared against (Harmonia lands within ~3% on average).
  *
  * Each search runs the lattice (parallel over SweepOptions::jobs) into
- * one reused buffer and keeps only the argmin. The decision cache is
- * keyed by InvocationKey, (kernel id, phase bytes), the only inputs a
- * lattice depends on: every iteration of a phase-invariant kernel
- * reuses one search, and no lattice is memoized. The argmin
+ * one reused buffer of PointResults, the five numbers per point an
+ * objective reads (40 bytes, not a 328-byte KernelResult), and keeps
+ * only the argmin. The decision cache is keyed by InvocationKey,
+ * (kernel id, phase bytes), the only inputs a lattice depends on:
+ * every iteration of a phase-invariant kernel reuses one search, and
+ * no lattice is memoized. The argmin
  * (bestConfigIndex) walks the canonical enumeration order, so
  * parallel and serial searches pick bit-identical configs.
  */
@@ -43,25 +45,18 @@ enum class OracleObjective
 /** Printable objective name. */
 const char *oracleObjectiveName(OracleObjective objective);
 
-/**
- * The score @p objective minimizes for one evaluated point. Defined
- * for KernelResult (a search buffer) and PointResult (a stored
- * point), whose ed()/ed2() agree bit for bit.
- */
-template <typename Point>
-double objectiveScore(const Point &result, OracleObjective objective);
+/** The score @p objective minimizes for one evaluated point. */
+double objectiveScore(const PointResult &result, OracleObjective objective);
 
 /**
  * The oracle's reduction: index of the best results[i] (evaluated at
  * configs[i]) under @p objective, by a serial walk in configs order.
  * MaxPerf near-ties (relative 1e-6) go to the largest configuration.
  * With no finite score it returns the last index, which is the
- * maximum configuration of the canonical enumeration. Defined for
- * the same two result types as objectiveScore().
+ * maximum configuration of the canonical enumeration.
  */
-template <typename Point>
 size_t bestConfigIndex(const std::vector<HardwareConfig> &configs,
-                       const std::vector<Point> &results,
+                       const std::vector<PointResult> &results,
                        OracleObjective objective);
 
 /** Exhaustive-search oracle. */
@@ -99,7 +94,7 @@ class OracleGovernor : public Governor
     ConfigSweep sweep_;
     OracleObjective objective_;
     std::map<InvocationKey, HardwareConfig> cache_;
-    std::vector<KernelResult> results_; ///< Reused search buffer.
+    std::vector<PointResult> results_; ///< Reused search buffer.
     size_t searches_ = 0;
 };
 

@@ -21,9 +21,12 @@
  * `sweep` and `evaluate` verbs, the cross-device exhibit and the
  * design-space example share the points. Each lattice remembers the
  * smallest iteration that reached it, and the snapshot writer walks
- * them in (kernel id, that iteration) order (forEachEntry).
- * OracleGovernor and ModelChecker, which need whole KernelResults,
- * use only the enumeration and the pool and never fill the store.
+ * them in (kernel id, that iteration) order (forEachEntry). Fills run
+ * GpuDevice::runLattice's PointResult sink: a whole-lattice fill
+ * writes straight into the store, a subset fill through a scratch of
+ * its missing points. OracleGovernor, which keeps only an argmin, and
+ * ModelChecker, which needs whole KernelResults, use only the
+ * enumeration and the pool and never fill the store.
  *
  * Determinism: the device model is const and purely functional, each
  * configuration's result is written to its own pre-assigned slot, a
@@ -207,8 +210,9 @@ class ConfigSweep
     Entry &entry(const InvocationKey &key, int iteration) const;
 
     /** fillInto() of @p phase over @p slots, or every slot when
-     * null: the absent ones run in one runLattice into a
-     * KernelResult scratch, each projected into its slot. */
+     * null: the absent ones run in one runLattice of served points,
+     * straight into the lattice when every slot was absent, else into
+     * a scratch of the missing points copied to their slots. */
     FillCounts fillSlots(const KernelProfile &profile,
                          const KernelPhase &phase,
                          const std::vector<size_t> *slots,

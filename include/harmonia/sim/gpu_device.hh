@@ -7,6 +7,11 @@
  * KernelResult combining execution time, the Table 2 counter snapshot,
  * and the measured card power breakdown (Equation 4), with energy
  * integrated the way the paper's DAQ setup would measure it.
+ *
+ * run() evaluates one configuration; runLattice() evaluates many in
+ * one batched pass, into whole KernelResults or, for callers that
+ * need only time, power and energy, into 40-byte PointResults. Both
+ * sinks are bitwise equal to run() (and its point() projection).
  */
 
 #ifndef HARMONIA_SIM_GPU_DEVICE_HH
@@ -26,9 +31,10 @@ namespace harmonia
  * The five numbers a stored lattice point serves: time, total card
  * power and the card/GPU/memory energies, from which ED and ED^2
  * follow. This is what the point store (core/sweep.hh) and its
- * snapshot keep per point; KernelResult::point() projects a full
- * result onto it. time(), ed() and ed2() evaluate KernelResult's
- * expressions in the same order, so the values are bitwise equal.
+ * snapshot keep per point, and what runLattice()'s point sink writes;
+ * KernelResult::point() projects a full result onto it. time(), ed()
+ * and ed2() evaluate KernelResult's expressions in the same order, so
+ * the values are bitwise equal.
  */
 struct PointResult
 {
@@ -124,6 +130,18 @@ class GpuDevice
     void runLattice(const KernelProfile &profile, const KernelPhase &phase,
                     const std::vector<HardwareConfig> &configs,
                     KernelResult *out, ThreadPool *pool = nullptr) const;
+
+    /**
+     * runLattice() into served points: @p out[i] is bitwise
+     * run(profile, phase, configs[i]).point(). The same kernel, lane
+     * blocks, validation and errors as the KernelResult overload; only
+     * the final scatter differs, writing 40 bytes per point instead of
+     * a whole KernelResult. For callers that read only time, power and
+     * energy (the oracle's search, the point store's fills).
+     */
+    void runLattice(const KernelProfile &profile, const KernelPhase &phase,
+                    const std::vector<HardwareConfig> &configs,
+                    PointResult *out, ThreadPool *pool = nullptr) const;
 
   private:
     /**

@@ -20,7 +20,10 @@
 #   tsan       TSan build; the thread-pool, sweep-determinism and
 #              oracle tests, which exercise every lock in the library
 #              and the oracle's reused buffer written by pool workers,
-#              and the service/reactor tests (serve determinism,
+#              the naive/batched equivalence suites
+#              (test_simd_equivalence, test_factored_engine), whose
+#              pooled lattice runs have workers write both result
+#              sinks, and the service/reactor tests (serve determinism,
 #              device and reactor), which run the poll() reactor on
 #              its own thread against client threads and fill the
 #              per-device point stores from pool workers
@@ -120,7 +123,7 @@ if want asan; then
 fi
 
 if want tsan; then
-    note "TSan (thread pool + sweep determinism + oracle + serving)"
+    note "TSan (thread pool + sweep determinism + oracle + equivalence + serving)"
     configure_and_build build-tsan \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DHARMONIA_TSAN=ON || FAILED=1
@@ -128,6 +131,8 @@ if want tsan; then
         ./build-tsan/tests/test_thread_pool > /dev/null || FAILED=1
         ./build-tsan/tests/test_sweep_determinism > /dev/null || FAILED=1
         ./build-tsan/tests/test_oracle > /dev/null || FAILED=1
+        ./build-tsan/tests/test_simd_equivalence > /dev/null || FAILED=1
+        ./build-tsan/tests/test_factored_engine > /dev/null || FAILED=1
         ./build-tsan/tests/test_serve_determinism > /dev/null || FAILED=1
         ./build-tsan/tests/test_serve_device > /dev/null || FAILED=1
         ./build-tsan/tests/test_serve_reactor > /dev/null || FAILED=1

@@ -20,9 +20,8 @@ oracleObjectiveName(OracleObjective objective)
     return "unknown";
 }
 
-template <typename Point>
 double
-objectiveScore(const Point &result, OracleObjective objective)
+objectiveScore(const PointResult &result, OracleObjective objective)
 {
     switch (objective) {
       case OracleObjective::MinEd2: return result.ed2();
@@ -33,10 +32,9 @@ objectiveScore(const Point &result, OracleObjective objective)
     panic("objectiveScore: bad objective");
 }
 
-template <typename Point>
 size_t
 bestConfigIndex(const std::vector<HardwareConfig> &configs,
-                const std::vector<Point> &results,
+                const std::vector<PointResult> &results,
                 OracleObjective objective)
 {
     fatalIf(configs.empty() || results.size() != configs.size(),
@@ -67,21 +65,12 @@ bestConfigIndex(const std::vector<HardwareConfig> &configs,
     return bestIdx;
 }
 
-template double objectiveScore(const KernelResult &, OracleObjective);
-template double objectiveScore(const PointResult &, OracleObjective);
-template size_t bestConfigIndex(const std::vector<HardwareConfig> &,
-                                const std::vector<KernelResult> &,
-                                OracleObjective);
-template size_t bestConfigIndex(const std::vector<HardwareConfig> &,
-                                const std::vector<PointResult> &,
-                                OracleObjective);
-
 HardwareConfig
 bestConfigFor(const GpuDevice &device, const KernelProfile &profile,
               int iteration, OracleObjective objective)
 {
     const std::vector<HardwareConfig> configs = device.space().allConfigs();
-    std::vector<KernelResult> results(configs.size());
+    std::vector<PointResult> results(configs.size());
     device.runLattice(profile, profile.phase(iteration), configs,
                       results.data());
     return configs[bestConfigIndex(configs, results, objective)];

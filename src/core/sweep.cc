@@ -100,26 +100,27 @@ ConfigSweep::fillSlots(const KernelProfile &profile,
     // Each index writes only its own slot, so the result is
     // independent of scheduling and of which fill computed it.
     try {
-        std::vector<KernelResult> computed(missing.size());
         if (missing.size() == configs_.size()) {
-            // Nothing was stored: one canonical-order lattice run.
-            device_.runLattice(profile, phase, configs_, computed.data(),
-                               pool_.get());
-            for (size_t slot = 0; slot < computed.size(); ++slot)
-                lattice.results[slot] = computed[slot].point();
+            // Nothing was stored: one canonical-order lattice run,
+            // straight into the records.
+            device_.runLattice(profile, phase, configs_,
+                               lattice.results.data(), pool_.get());
         } else {
             std::vector<HardwareConfig> configs;
             configs.reserve(missing.size());
             for (const size_t slot : missing)
                 configs.push_back(configs_[slot]);
+            std::vector<PointResult> computed(missing.size());
             device_.runLattice(profile, phase, configs, computed.data(),
                                pool_.get());
             for (size_t i = 0; i < missing.size(); ++i)
-                lattice.results[missing[i]] = computed[i].point();
+                lattice.results[missing[i]] = computed[i];
         }
     } catch (...) {
-        for (const size_t slot : missing)
+        for (const size_t slot : missing) {
             lattice.slots[slot] = Slot::Absent;
+            lattice.results[slot] = PointResult{};
+        }
         throw;
     }
     return counts;

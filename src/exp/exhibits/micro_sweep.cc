@@ -2,7 +2,9 @@
  * @file
  * Evaluation-path throughput microbenchmark: naive per-config
  * evaluation (the GpuDevice::run reference) vs the batched lattice
- * path (GpuDevice::runLattice), at 1 and 4 worker threads.
+ * path (GpuDevice::runLattice) into either of its sinks, whole
+ * KernelResults ("batched") or served PointResults
+ * ("batched-points"), at 1 and 4 worker threads.
  *
  * Drives GpuDevice::runLattice (and, for the naive rows, per-config
  * GpuDevice::run under the same thread pool) straight into a reused
@@ -13,8 +15,8 @@
  *
  * Reports kernel-invocation lattices per second (one lattice = one
  * (kernel, iteration) evaluated at all 448 configurations) and the
- * per-config rate, and prints the single-thread batched/naive
- * speedup. `--bench-reps N` controls how many full-suite passes each
+ * per-config rate, and prints the single-thread batched/naive and
+ * points/KernelResult sink speedups. `--bench-reps N` controls how many full-suite passes each
  * variant runs (default 6); the measurements land in the
  * micro_sweep/micro_sweep_summary artifacts under `--out`.
  */
@@ -35,7 +37,7 @@ namespace
 
 struct Measurement
 {
-    std::string path; // "naive" | "batched"
+    std::string path; // "naive" | "batched" | "batched-points"
     int jobs = 1;
     int reps = 1;
     size_t lattices = 0;
@@ -49,7 +51,7 @@ struct Measurement
 /**
  * Evaluate every suite kernel at @p reps distinct iterations into a
  * reused result buffer. @p path selects the naive per-config loop or
- * the batched lattice path.
+ * the batched lattice path into KernelResults or PointResults.
  */
 Measurement
 measure(ExpContext &ctx, const std::string &path, int jobs, int reps)
@@ -59,6 +61,8 @@ measure(ExpContext &ctx, const std::string &path, int jobs, int reps)
     const std::vector<Application> &apps = ctx.suite();
     ThreadPool pool(jobs);
     std::vector<KernelResult> out(configs.size());
+    std::vector<PointResult> points(configs.size());
+    ThreadPool *lanePool = jobs > 1 ? &pool : nullptr;
 
     Measurement m;
     m.path = path;
@@ -74,9 +78,12 @@ measure(ExpContext &ctx, const std::string &path, int jobs, int reps)
                     pool.parallelFor(configs.size(), 16, [&](size_t i) {
                         out[i] = dev.run(k, phase, configs[i]);
                     });
-                } else {
+                } else if (path == "batched") {
                     dev.runLattice(k, k.phase(r), configs, out.data(),
-                                   jobs > 1 ? &pool : nullptr);
+                                   lanePool);
+                } else {
+                    dev.runLattice(k, k.phase(r), configs, points.data(),
+                                   lanePool);
                 }
                 ++m.lattices;
             }
@@ -106,7 +113,8 @@ class MicroSweep final : public Experiment
                    "Design-space sweep throughput: naive per-config "
                    "evaluation vs the batched lattice path.");
 
-        const std::vector<std::string> paths = {"naive", "batched"};
+        const std::vector<std::string> paths = {"naive", "batched",
+                                                "batched-points"};
 
         // Per path: one warm-up pass so first-touch allocation and
         // page faults don't land in a timed region, then the fastest
@@ -147,19 +155,25 @@ class MicroSweep final : public Experiment
         ctx.emit(table, "Sweep throughput (448-config lattices)",
                  "micro_sweep");
 
-        double naive1 = 0.0, batched1 = 0.0;
+        double naive1 = 0.0, batched1 = 0.0, points1 = 0.0;
         for (const Measurement &m : runs) {
             if (m.jobs != 1)
                 continue;
             if (m.path == "naive")
                 naive1 = m.latticesPerSec();
-            else
+            else if (m.path == "batched")
                 batched1 = m.latticesPerSec();
+            else
+                points1 = m.latticesPerSec();
         }
         const double batchedSpeedup1 =
             naive1 > 0.0 ? batched1 / naive1 : 0.0;
+        const double sinkSpeedup1 =
+            batched1 > 0.0 ? points1 / batched1 : 0.0;
         ctx.out() << "\nsingle-thread batched speedup: "
-                  << formatNum(batchedSpeedup1, 2) << "x\n";
+                  << formatNum(batchedSpeedup1, 2) << "x\n"
+                  << "single-thread points/KernelResult sink speedup: "
+                  << formatNum(sinkSpeedup1, 2) << "x\n";
 
         TextTable summary({"metric", "value"});
         summary.row().cell("configs per lattice").numInt(
@@ -169,6 +183,9 @@ class MicroSweep final : public Experiment
         summary.row().cell("reps per variant").numInt(reps);
         summary.row().cell("single-thread batched speedup").num(
             batchedSpeedup1, 3);
+        summary.row()
+            .cell("single-thread points/KernelResult sink speedup")
+            .num(sinkSpeedup1, 3);
         ctx.emit(summary, "micro_sweep summary", "micro_sweep_summary");
     }
 };

@@ -118,13 +118,19 @@ GpuDevice::composeResult(KernelTiming timing, const KernelPhase &phase,
     return out;
 }
 
-void
-GpuDevice::runLattice(const KernelProfile &profile,
-                      const KernelPhase &phase,
-                      const std::vector<HardwareConfig> &configs,
-                      KernelResult *out, ThreadPool *pool) const
+namespace
 {
-    const LatticeEvaluator eval(*this, profile, phase, pool);
+
+/** runLattice() into either sink type: only the evaluator's final
+ * scatter differs between them. */
+template <typename Out>
+void
+runLatticeInto(const GpuDevice &device, const KernelProfile &profile,
+               const KernelPhase &phase,
+               const std::vector<HardwareConfig> &configs, Out *out,
+               ThreadPool *pool)
+{
+    const LatticeEvaluator eval(device, profile, phase, pool);
 
     // Sweeps almost always pass the full lattice in canonical
     // allConfigs() order (memory frequency major, then CU count, then
@@ -194,6 +200,26 @@ GpuDevice::runLattice(const KernelProfile &profile,
     else
         for (size_t c = 0; c < nChunks; ++c)
             runChunk(c);
+}
+
+} // namespace
+
+void
+GpuDevice::runLattice(const KernelProfile &profile,
+                      const KernelPhase &phase,
+                      const std::vector<HardwareConfig> &configs,
+                      KernelResult *out, ThreadPool *pool) const
+{
+    runLatticeInto(*this, profile, phase, configs, out, pool);
+}
+
+void
+GpuDevice::runLattice(const KernelProfile &profile,
+                      const KernelPhase &phase,
+                      const std::vector<HardwareConfig> &configs,
+                      PointResult *out, ThreadPool *pool) const
+{
+    runLatticeInto(*this, profile, phase, configs, out, pool);
 }
 
 } // namespace harmonia

@@ -1,6 +1,7 @@
 #include "lattice_evaluator.hh"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/check.hh"
 #include "common/simd.hh"
@@ -83,21 +84,8 @@ LatticeEvaluator::LatticeEvaluator(const GpuDevice &device,
     }
 }
 
-void
-LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
-                                      const size_t *cfIdx,
-                                      const size_t *memIdx, size_t n,
-                                      KernelResult *out) const
-{
-    for (size_t base = 0; base < n; base += kBatchChunk) {
-        const size_t len = std::min(kBatchChunk, n - base);
-        evaluateChunkAtInto(cuIdx + base, cfIdx + base, memIdx + base,
-                            len, out + base);
-    }
-}
-
 /**
- * The vertical kernel. Structure:
+ * The vertical kernel, one per sink type. Structure:
  *
  *  1. a gather stage provides each lane's axis-table and power-plane
  *     inputs: canonical chunks load packs directly from the SoA
@@ -109,17 +97,21 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
  *     operations, same order, same operands per lane, only evaluated
  *     VDouble::width lanes at a time (so the results are bitwise
  *     identical to the naive GpuDevice::run(); docs/MODEL.md §9);
- *  3. a scalar scatter pass assembles each KernelResult and runs the
- *     same always-on validation the naive path runs.
+ *  3. a scalar scatter pass writes each lane into its sink — a whole
+ *     KernelResult, or the five PointResult numbers — and runs the
+ *     same always-on validation the naive path runs, whichever the
+ *     sink. Only this pass depends on the sink type.
  */
+template <typename Out>
 void
-LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
+LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
                                       const size_t *cfIdx,
                                       const size_t *memIdx, size_t n,
-                                      KernelResult *out) const
+                                      Out *out) const
 {
     using simd::VDouble;
     constexpr size_t kC = kBatchChunk;
+    HARMONIA_CHECK(n <= kC, "lane block larger than kBatchChunk");
 
     const size_t nCu = timing_.cuValues.size();
     const size_t nCf = timing_.computeFreqValues.size();
@@ -444,26 +436,9 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
         vPOther.storeN(pOther + i, lanes);
     }
 
-    // ---- Scatter: assemble results, run the naive path's always-on
-    // validation per lane -------------------------------------------
-    for (size_t i = 0; i < n; ++i) {
-        KernelResult &r = out[i];
-        KernelTiming &t = r.timing;
-        const size_t bwSlot =
-            (memIdx[i] * nCu + cuIdx[i]) * nCf + cfIdx[i];
-        t.execTime = execTime[i];
-        t.computeTime = ct[i];
-        t.l2Time = l2t[i];
-        t.memTime = memTime[i];
-        t.launchOverhead = tp.launchOverheadSec;
-        t.busyTime = busyTime[i];
-        t.occupancy = prep_.occupancy;
-        t.l2HitRate = hit[i];
-        t.requestedBytes = prep_.requestedBytes;
-        t.offChipBytes = off[i];
-        t.bandwidth = timing_.bandwidthAt(bwSlot);
-
-        CounterSet &c = t.counters;
+    // ---- Scatter: write each lane into its sink, run the naive
+    // path's always-on validation per lane ---------------------------
+    auto laneCounters = [&](size_t i, CounterSet &c) {
         c.valuBusy = valuBusy[i];
         c.valuUtilization = prep_.valuUtilization;
         c.memUnitBusy = memUnitBusy[i];
@@ -478,31 +453,72 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
         c.vwriteInsts = prep_.vwriteInsts;
         c.offChipBytes = off[i];
         c.validate();
+    };
+    auto lanePower = [&](size_t i, CardPowerBreakdown &p) {
+        p.gpu.cuDynamic = pCuDyn[i];
+        p.gpu.uncoreDynamic = pUncDyn[i];
+        p.gpu.leakage = pLeak[i];
+        p.mem.background = pBG[i];
+        p.mem.activatePrecharge = pAP[i];
+        p.mem.readWrite = pRW[i];
+        p.mem.termination = pTerm[i];
+        p.mem.phy = pPhy[i];
+        p.other = pOther[i];
+    };
+    for (size_t i = 0; i < n; ++i) {
+        [[maybe_unused]] const size_t bwSlot =
+            (memIdx[i] * nCu + cuIdx[i]) * nCf + cfIdx[i];
+        [[maybe_unused]] double powerW;
+        if constexpr (std::is_same_v<Out, KernelResult>) {
+            KernelResult &r = out[i];
+            KernelTiming &t = r.timing;
+            t.execTime = execTime[i];
+            t.computeTime = ct[i];
+            t.l2Time = l2t[i];
+            t.memTime = memTime[i];
+            t.launchOverhead = tp.launchOverheadSec;
+            t.busyTime = busyTime[i];
+            t.occupancy = prep_.occupancy;
+            t.l2HitRate = hit[i];
+            t.requestedBytes = prep_.requestedBytes;
+            t.offChipBytes = off[i];
+            t.bandwidth = timing_.bandwidthAt(bwSlot);
+            laneCounters(i, t.counters);
+            lanePower(i, r.power);
+            r.cardEnergy = cardE[i];
+            r.gpuEnergy = gpuE[i];
+            r.memEnergy = memE[i];
+            powerW = r.power.total();
+        } else {
+            // The served numbers only; the counters and the nine power
+            // components are assembled on the stack for validation and
+            // CardPowerBreakdown::total()'s summation order.
+            CounterSet c;
+            laneCounters(i, c);
+            CardPowerBreakdown p;
+            lanePower(i, p);
+            powerW = p.total();
+            out[i] = {execTime[i], powerW, cardE[i], gpuE[i], memE[i]};
+        }
 
-        r.power.gpu.cuDynamic = pCuDyn[i];
-        r.power.gpu.uncoreDynamic = pUncDyn[i];
-        r.power.gpu.leakage = pLeak[i];
-        r.power.mem.background = pBG[i];
-        r.power.mem.activatePrecharge = pAP[i];
-        r.power.mem.readWrite = pRW[i];
-        r.power.mem.termination = pTerm[i];
-        r.power.mem.phy = pPhy[i];
-        r.power.other = pOther[i];
-        r.cardEnergy = cardE[i];
-        r.gpuEnergy = gpuE[i];
-        r.memEnergy = memE[i];
-
-        HARMONIA_CHECK_FINITE(t.execTime);
-        HARMONIA_CHECK_NONNEG(t.busyTime);
-        HARMONIA_CHECK(t.execTime >= t.launchOverhead,
+        HARMONIA_CHECK_FINITE(execTime[i]);
+        HARMONIA_CHECK_NONNEG(busyTime[i]);
+        HARMONIA_CHECK(execTime[i] >= tp.launchOverheadSec,
                        "execTime below the fixed launch overhead");
-        HARMONIA_CHECK_RANGE(t.l2HitRate, 0.0, 1.0);
-        HARMONIA_CHECK_NONNEG(t.bandwidth.effectiveBps);
-        HARMONIA_CHECK_NONNEG(r.cardEnergy);
-        HARMONIA_CHECK_NONNEG(r.gpuEnergy);
-        HARMONIA_CHECK_NONNEG(r.memEnergy);
-        HARMONIA_CHECK_FINITE(r.power.total());
+        HARMONIA_CHECK_RANGE(hit[i], 0.0, 1.0);
+        HARMONIA_CHECK_NONNEG(timing_.bandwidthBps[bwSlot]);
+        HARMONIA_CHECK_NONNEG(cardE[i]);
+        HARMONIA_CHECK_NONNEG(gpuE[i]);
+        HARMONIA_CHECK_NONNEG(memE[i]);
+        HARMONIA_CHECK_FINITE(powerW);
     }
 }
+
+template void LatticeEvaluator::evaluateBatchAtInto(
+    const size_t *, const size_t *, const size_t *, size_t,
+    KernelResult *) const;
+template void LatticeEvaluator::evaluateBatchAtInto(
+    const size_t *, const size_t *, const size_t *, size_t,
+    PointResult *) const;
 
 } // namespace harmonia

@@ -29,6 +29,12 @@
  * identical to the naive GpuDevice::run() reference (pinned by
  * tests/test_simd_equivalence.cpp and tests/test_factored_engine.cpp;
  * contract in docs/MODEL.md §9).
+ *
+ * The combine has two sinks, chosen at compile time: whole
+ * KernelResults, or PointResults (time, total power, three energies)
+ * for callers that read nothing else. The gather and the vector
+ * passes are shared; only the final scatter differs, and both sinks
+ * run the same per-lane validation.
  */
 
 #ifndef HARMONIA_SIM_LATTICE_EVALUATOR_HH
@@ -53,8 +59,8 @@ class LatticeEvaluator
 {
   public:
     /** Lane-block size of the batched path: evaluateBatchAtInto()
-     * processes lanes in chunks of this many configs, so batch
-     * drivers get good parallel grain by chunking at the same size. */
+     * processes at most this many configs per call, so batch drivers
+     * chunk at this size and get good parallel grain from it. */
     static constexpr size_t kBatchChunk = 64;
 
     /**
@@ -75,23 +81,24 @@ class LatticeEvaluator
     const TimingAxisTables &timingTables() const { return timing_; }
 
     /**
-     * Batched combine: lane i evaluates the lattice point
-     * (@p cuIdx[i], @p cfIdx[i], @p memIdx[i]) into @p out[i]. Lanes
-     * are independent — any subset, duplicates, or a single point are
-     * all fine — and each lane's result is bitwise identical to
-     * device().run() at that configuration. Indices must be in range
-     * (unchecked).
+     * Batched combine of one lane block (@p n <= kBatchChunk): lane i
+     * evaluates the lattice point (@p cuIdx[i], @p cfIdx[i],
+     * @p memIdx[i]) into @p out[i]. Lanes are independent — any
+     * subset, duplicates, or a single point are all fine. Indices must
+     * be in range (unchecked).
+     *
+     * @p Out, KernelResult or PointResult, is chosen at compile time
+     * and changes only the final scatter: a KernelResult lane is
+     * bitwise identical to device().run() at that configuration, and
+     * a PointResult lane to device().run(...).point(). Both sinks run
+     * the same per-lane validation.
      */
+    template <typename Out>
     void evaluateBatchAtInto(const size_t *cuIdx, const size_t *cfIdx,
                              const size_t *memIdx, size_t n,
-                             KernelResult *out) const;
+                             Out *out) const;
 
   private:
-    /** One lane block (n <= kBatchChunk) of the batched path. */
-    void evaluateChunkAtInto(const size_t *cuIdx, const size_t *cfIdx,
-                             const size_t *memIdx, size_t n,
-                             KernelResult *out) const;
-
     const GpuDevice &device_;
     PreparedKernel prep_;
     TimingAxisTables timing_;

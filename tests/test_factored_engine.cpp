@@ -275,7 +275,7 @@ TEST(FactoredEngine, ParallelTableBuildMatchesSerial)
 
 // Off-lattice configurations are rejected by runLattice's axis
 // lookups just as the naive path rejects them in validate() — serially
-// and from a pooled lane block past the first chunk.
+// and from a pooled lane block past the first chunk, into either sink.
 TEST(FactoredEngine, OffLatticeEvaluationThrows)
 {
     const GpuDevice &dev = device();
@@ -292,17 +292,27 @@ TEST(FactoredEngine, OffLatticeEvaluationThrows)
     badMem.memFreqMhz = 500;
 
     std::vector<KernelResult> out(LatticeEvaluator::kBatchChunk + 1);
+    std::vector<PointResult> points(out.size());
     for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr), &pool}) {
         const std::vector<HardwareConfig> ok(out.size(), max);
         EXPECT_NO_THROW(dev.runLattice(k, phase, ok, out.data(), p));
+        EXPECT_NO_THROW(dev.runLattice(k, phase, ok, points.data(), p));
         for (const HardwareConfig &bad : {badCf, badCu, badMem}) {
             EXPECT_THROW(dev.runLattice(k, phase, {bad}, out.data(), p),
                          ConfigError)
+                << bad.str();
+            EXPECT_THROW(
+                dev.runLattice(k, phase, {bad}, points.data(), p),
+                ConfigError)
                 << bad.str();
             std::vector<HardwareConfig> batch = ok;
             batch.back() = bad;
             EXPECT_THROW(dev.runLattice(k, phase, batch, out.data(), p),
                          ConfigError)
+                << bad.str();
+            EXPECT_THROW(
+                dev.runLattice(k, phase, batch, points.data(), p),
+                ConfigError)
                 << bad.str();
         }
     }

@@ -15,6 +15,8 @@
  *    duplicates, shuffles, single points), which exercises the
  *    indexed-gather fallback rather than the fused canonical gather;
  *  - scheduling independence of the chunked parallel path;
+ *  - the PointResult sink of runLattice against the reference run()'s
+ *    projection, on every registered device;
  *  - the vector slab bandwidth solver against per-lane calls of the
  *    single-point reference, on every registered device, including
  *    lanes placed exactly on the saturation thresholds the slab dedup
@@ -26,7 +28,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harmonia/common/thread_pool.hh"
@@ -247,6 +251,56 @@ TEST(SimdEquivalence, ParallelSimdMatchesSerial)
             expectSameResult(pooled[i], serial[i],
                              k.id() + " pooled vs serial @ " +
                                  configs[i].str());
+    }
+}
+
+// The PointResult sink of runLattice: on every registered device,
+// serially and on a pool, each served point is the reference run()'s
+// projection, byte for byte. The shapes reach both gathers (the
+// canonical full lattice takes the fused one on hd7970, the rest the
+// indexed one), partial packs, and a 1-lane tail chunk.
+TEST(SimdEquivalence, PointSinkMatchesReferencePoint)
+{
+    const KernelProfile k = makeXsbench().kernels.front();
+    const KernelPhase phase = k.phase(1);
+    ThreadPool pool(4);
+
+    for (const std::string &name : deviceNames()) {
+        const GpuDevice dev = makeDevice(name).value();
+        const std::vector<HardwareConfig> all = dev.space().allConfigs();
+
+        Rng rng = sweepSubstream(0x9017ull, all.size());
+        std::vector<HardwareConfig> subset;
+        for (size_t i = 0; i < 300; ++i)
+            subset.push_back(all[rng.uniformInt(0, all.size() - 1)]);
+        subset.push_back(subset.front());
+        std::vector<HardwareConfig> straddle;
+        for (size_t i = 0; i < LatticeEvaluator::kBatchChunk + 1; ++i)
+            straddle.push_back(all[(7 * i) % all.size()]);
+
+        const std::vector<std::pair<const char *,
+                                    std::vector<HardwareConfig>>>
+            batches = {{"full lattice", all},
+                       {"shuffled subset", subset},
+                       {"one config", {dev.space().maxConfig()}},
+                       {"kBatchChunk + 1", straddle}};
+        for (const auto &[shape, configs] : batches) {
+            std::vector<PointResult> want(configs.size());
+            for (size_t i = 0; i < configs.size(); ++i)
+                want[i] = dev.run(k, phase, configs[i]).point();
+            for (ThreadPool *p :
+                 {static_cast<ThreadPool *>(nullptr), &pool}) {
+                std::vector<PointResult> got(configs.size());
+                dev.runLattice(k, phase, configs, got.data(), p);
+                for (size_t i = 0; i < configs.size(); ++i)
+                    EXPECT_EQ(std::memcmp(&got[i], &want[i],
+                                          sizeof(PointResult)),
+                              0)
+                        << name << " " << shape
+                        << (p ? " pooled" : " serial") << " @ "
+                        << configs[i].str();
+            }
+        }
     }
 }
 

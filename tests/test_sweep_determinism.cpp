@@ -9,8 +9,9 @@
  * each compared across 1, 2, and 8 worker threads with exact
  * (bitwise) double equality. Also covers the point store: hit
  * accounting, its (kernel, phase bytes) key, overlapping concurrent
- * slot fills, seeded (restored) slots, and the per-task RNG substream
- * scheme.
+ * slot fills, whole-lattice and subset fills against a serial
+ * point-sink lattice, seeded (restored) slots, and the per-task RNG
+ * substream scheme.
  */
 
 #include <gtest/gtest.h>
@@ -265,6 +266,42 @@ TEST(SweepDeterminism, OverlappingSlotFillsMatchASerialLattice)
         EXPECT_EQ(full[i].gpuEnergy, serial[i].gpuEnergy) << i;
         EXPECT_EQ(full[i].memEnergy, serial[i].memEnergy) << i;
     }
+}
+
+TEST(SweepDeterminism, StoreFillsMatchASerialPointLattice)
+{
+    // On ampere-ga100, a fresh evaluate() runs the whole lattice
+    // straight into the store, while a subset fill() and the evaluate()
+    // that completes the same key both run their missing points
+    // through a scratch. Both stored lattices must equal a serial
+    // point-sink lattice byte for byte.
+    const GpuDevice dev = makeDevice("ampere-ga100").value();
+    const KernelProfile kernel = makeGraph500().kernels.front();
+    ConfigSweep fresh(dev, {.jobs = 4});
+    ConfigSweep completed(dev, {.jobs = 4});
+    const size_t n = fresh.configs().size();
+
+    std::vector<PointResult> serial(n);
+    dev.runLattice(kernel, kernel.phase(1), fresh.configs(),
+                   serial.data());
+
+    std::vector<size_t> subset;
+    for (size_t i = 0; i < n / 3; ++i)
+        subset.push_back((11 * i) % n);
+    ConfigSweep::FillCounts counts;
+    completed.fill(kernel, 1, subset, &counts);
+    EXPECT_EQ(counts.computed, subset.size());
+
+    for (const ConfigSweep *sweep : {&fresh, &completed}) {
+        const std::vector<PointResult> &full = sweep->evaluate(kernel, 1);
+        ASSERT_EQ(full.size(), n);
+        EXPECT_EQ(std::memcmp(full.data(), serial.data(),
+                              n * sizeof(PointResult)),
+                  0)
+            << (sweep == &fresh ? "fresh" : "completed");
+    }
+    EXPECT_EQ(fresh.cacheMisses(), 1u);
+    EXPECT_EQ(completed.cacheMisses(), 2u);
 }
 
 TEST(SweepDeterminism, IterationsOfOnePhaseShareOneLattice)
