@@ -11,6 +11,14 @@
  *  3. Little's-law bandwidth from outstanding requests and latency
  *     (low kernel occupancy -> few outstanding requests -> low
  *     bandwidth sensitivity, as for Sort.BottomScan in Figure 7).
+ *
+ * The first two ceilings depend only on (memory clock, compute clock)
+ * and the third's fixed point only on (memory clock, demand), the
+ * core/memory-clock split of Wang & Chu (arXiv:1701.05308). The
+ * lattice path uses that factoring: supplyCeilings() and
+ * solveFixedPoints() resolve each half once over its own small grid,
+ * and a lattice point picks the ceiling when its demand saturates it,
+ * else the fixed point (TimingAxisTables::bandwidthAt).
  */
 
 #ifndef HARMONIA_MEMSYS_MEMORY_SYSTEM_HH
@@ -111,42 +119,47 @@ class MemorySystem
                                            const MemDemand &demand,
                                            double crossingCapBps) const;
 
-    /** One memory frequency's worth of lanes for the multi-slab
-     * resolver below: lane i resolves the demand with
-     * outstandingRequests = outstanding[i] against crossing cap
-     * crossingCaps[i], writing out[i]. */
-    struct SlabLaneRequest
-    {
-        double memFreqMhz = 0.0;
-        size_t lanes = 0;
-        const double *outstanding = nullptr;
-        const double *crossingCaps = nullptr;
-        BandwidthResult *out = nullptr;
-    };
+    /**
+     * The saturated half of resolveWithCrossingCap() over a (memory
+     * frequency x crossing cap) grid, row-major in memory frequency:
+     * slot m * nCaps + c gets the supply ceiling min(bus peak,
+     * crossingCapsBps[c]) at memFreqMhz[m] in @p ceilingBps, the
+     * loaded latency at that ceiling in @p ceilingLatency, and the
+     * limiter a result at the ceiling reports in @p ceilingLimiter.
+     * The latency is also the divisor of the reference's saturation
+     * test (its 0.95 utilization clamp sits below the 0.98 one of
+     * Gddr5Model::loadedLatencyFromBase, so the expressions are the
+     * same), so a demand of x in-flight bytes saturates slot s exactly
+     * when x / ceilingLatency[s] >= ceilingBps[s].
+     */
+    void supplyCeilings(const int *memFreqMhz, size_t nMem,
+                        const double *crossingCapsBps, size_t nCaps,
+                        const MemDemand &demand, double *ceilingBps,
+                        double *ceilingLatency,
+                        BandwidthLimiter *ceilingLimiter) const;
 
     /**
-     * The fast path: resolve several memory frequencies' lanes in one
-     * pass, every lane bitwise equal to the corresponding
-     * resolveWithCrossingCap() call (docs/MODEL.md §9). Per slab, three
-     * exact dedup rules keep the work small: a saturated result is a
-     * pure function of the supply ceiling, saturation is monotone in
-     * the demand level, and the concurrency fixed point does not
-     * depend on the ceiling. The surviving bisections of ALL slabs
-     * then run together as explicit vector packs (src/common/simd.hh)
-     * with branchless per-lane selects, iteration-major across packs.
-     * A single slab rarely stages more than one pack of distinct
-     * solves, so its pack is latency-bound on the 48 serially
-     * dependent iterations; batching across slabs gives the divider
-     * several independent packs per iteration to pipeline. Per lane
-     * the expression tree mirrors the reference's bisection, each
-     * solve carrying its own slab's peak/unloaded-latency constants.
-     * This is the solver the lattice tables use
-     * (TimingEngine::buildAxisTables), with one slab per call when the
-     * slabs are resolved on a pool.
+     * The unsaturated half: concurrency fixed points over a (memory
+     * frequency x demand level) grid, row-major in memory frequency.
+     * Slot m * nLevels + j resolves @p demand with outstandingRequests
+     * = outstanding[j] at memFreqMhz[m] the way
+     * resolveWithCrossingCap() does below its ceiling, which the fixed
+     * point does not depend on: a 48-iteration bisection on [0, bus
+     * peak], written to @p bps, and the loaded latency there, written
+     * to @p latency. Zero demand writes 0.0 at the unloaded latency,
+     * as the reference returns, and so does a slot whose
+     * @p solve[slot] is 0 (a demand the caller knows saturates every
+     * ceiling it meets). All the solves run as one vector bisection
+     * (src/common/simd.hh), iteration-major across packs so the
+     * divider pipelines their serially dependent division chains,
+     * each lane mirroring the reference op for op with its own slot's
+     * constants: bitwise the reference's bandwidth and latency
+     * (docs/MODEL.md §9).
      */
-    void resolveSlabLanesWithCrossingCap(const SlabLaneRequest *slabs,
-                                         size_t nSlabs,
-                                         const MemDemand &demand) const;
+    void solveFixedPoints(const int *memFreqMhz, size_t nMem,
+                          const double *outstanding, size_t nLevels,
+                          const MemDemand &demand, const char *solve,
+                          double *bps, double *latency) const;
 
     /** Memory power breakdown for achieved traffic at a frequency. */
     MemPowerBreakdown power(double memFreqMhz, double bytesPerSec,

@@ -27,6 +27,8 @@
 namespace harmonia
 {
 
+class ThreadPool;
+
 /**
  * The five numbers a stored lattice point serves: time, total card
  * power and the card/GPU/memory energies, from which ED and ED^2
@@ -121,9 +123,9 @@ class GpuDevice
      * per configuration (tests/test_factored_engine.cpp and
      * tests/test_simd_equivalence.cpp pin this).
      *
-     * When @p pool is non-null, table construction and the combine's
-     * lane blocks run on it; each block writes only its own slots, so
-     * results are scheduling-independent.
+     * When @p pool is non-null, the combine's lane blocks run on it
+     * (the tables are built serially first); each block writes only
+     * its own slots, so results are scheduling-independent.
      *
      * @throws ConfigError when any of @p configs is off the lattice.
      */

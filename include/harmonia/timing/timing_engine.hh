@@ -109,16 +109,23 @@ struct TimingAxisValues
  * the model call the naive path would make, so indexed lookups are
  * bitwise identical to recomputation:
  *
- *  - CU-count axis (8 values): L2 hit rate, off-chip bytes, and the
- *    Little's-law outstanding-request demand;
- *  - compute-frequency axis (8): L2 bandwidth and service time, and
- *    the L2->MC crossing cap;
- *  - (CU count x compute frequency) plane (64): vector-ALU issue time
- *    (the kernel's issue slots over the wave issue rate);
- *  - memory-frequency axis (7): peak bus bandwidth and its
- *    reciprocal;
- *  - full lattice (448): resolved BandwidthResult, deduplicated where
- *    the crossing cap saturates against the bus ceiling.
+ *  - CU-count axis: L2 hit rate, off-chip bytes, the Little's-law
+ *    outstanding-request demand and its in-flight bytes;
+ *  - compute-frequency axis: L2 bandwidth and service time, and the
+ *    L2->MC crossing cap;
+ *  - (CU count x compute frequency) plane: vector-ALU issue time (the
+ *    kernel's issue slots over the wave issue rate);
+ *  - memory-frequency axis: peak bus bandwidth and its reciprocal;
+ *  - the bandwidth lattice as two small planes
+ *    (MemorySystem::supplyCeilings and solveFixedPoints): a (memory
+ *    frequency x compute frequency) plane of supply ceilings min(bus
+ *    peak, crossing cap) with the loaded latency and limiter at each,
+ *    and a (memory frequency x CU count) plane of concurrency fixed
+ *    points. A lattice slot resolves to the
+ *    ceiling when its in-flight bytes saturate it, else to the fixed
+ *    point (bandwidthAt()); the batched combine makes the same choice
+ *    with one vector select. On ampere-ga100 the two planes hold
+ *    651 + 336 entries for a 10,416-point lattice.
  */
 struct TimingAxisTables
 {
@@ -130,6 +137,7 @@ struct TimingAxisTables
     std::vector<double> l2HitRate;
     std::vector<double> offChipBytes;
     std::vector<double> outstandingRequests;
+    std::vector<double> inFlightBytes; ///< outstandingRequests * line bytes.
 
     // --- Compute-frequency axis ------------------------------------
     std::vector<double> l2Bandwidth;
@@ -143,18 +151,53 @@ struct TimingAxisTables
     std::vector<double> peakBandwidth;
     std::vector<double> invPeakBandwidth;
 
-    // --- Full lattice, mem-major like ConfigSpace::allConfigs(),
-    // stored as structure-of-arrays planes so the batched combine can
-    // stream each component with vector loads ---------------------
-    std::vector<double> bandwidthBps;
-    std::vector<double> bandwidthLatency;
-    std::vector<BandwidthLimiter> bandwidthLimiter;
+    // --- (memory frequency, compute frequency) plane, row-major in
+    // memory frequency: the supply ceiling, the loaded latency at it
+    // (also the saturation test's divisor), and its limiter -------
+    std::vector<double> ceilingBps;
+    std::vector<double> ceilingLatency;
+    std::vector<BandwidthLimiter> ceilingLimiter;
 
-    /** Reassemble the resolved bandwidth of one lattice slot. */
-    BandwidthResult bandwidthAt(size_t slot) const
+    // --- (memory frequency, CU count) plane, row-major in memory
+    // frequency: the concurrency fixed point and its latency. Entries
+    // whose demand saturates every ceiling of their memory frequency
+    // are never read and hold 0.0 at the unloaded latency ----------
+    std::vector<double> fixedPointBps;
+    std::vector<double> fixedPointLatency;
+
+    /**
+     * The resolved bandwidth of lattice point (memory frequency @p m,
+     * CU count @p cu, compute frequency @p cf) by axis position:
+     * bitwise MemorySystem::resolveWithCrossingCap() there.
+     */
+    BandwidthResult bandwidthAt(size_t m, size_t cu, size_t cf) const
     {
-        return {bandwidthBps[slot], bandwidthLatency[slot],
-                bandwidthLimiter[slot]};
+        const size_t mc = m * computeFreqValues.size() + cf;
+        return bandwidthWith(inFlightBytes[cu] / ceilingLatency[mc] >=
+                                     ceilingBps[mc]
+                                 ? ceilingBps[mc]
+                                 : fixedPointBps[m * cuValues.size() + cu],
+                             m, cu, cf);
+    }
+
+    /**
+     * Complete the bandwidth @p bps that point (@p m, @p cu, @p cf)
+     * resolved to with its latency and limiter from the planes. A
+     * saturated point resolves to exactly its ceiling, and a fixed
+     * point equal to the ceiling has the ceiling's latency too, so
+     * equality picks the latency; the limiter follows the reference's
+     * within-1e-9-of-the-ceiling rule, which a saturated point meets.
+     */
+    BandwidthResult bandwidthWith(double bps, size_t m, size_t cu,
+                                  size_t cf) const
+    {
+        const size_t mc = m * computeFreqValues.size() + cf;
+        const double cap = ceilingBps[mc];
+        return {bps,
+                bps == cap ? ceilingLatency[mc]
+                           : fixedPointLatency[m * cuValues.size() + cu],
+                bps >= cap * (1.0 - 1e-9) ? ceilingLimiter[mc]
+                                          : BandwidthLimiter::Concurrency};
     }
 
     /** Axis position of a lattice value; @throws when off-lattice. */
@@ -162,8 +205,6 @@ struct TimingAxisTables
     size_t computeFreqIndex(int computeFreqMhz) const;
     size_t memFreqIndex(int memFreqMhz) const;
 };
-
-class ThreadPool;
 
 /** Complete timing result of one kernel invocation. */
 struct KernelTiming
@@ -230,16 +271,11 @@ class TimingEngine
 
     /**
      * Build the per-axis lookup tables for @p prep over this engine's
-     * configuration lattice. The bandwidth lattice is resolved by the
-     * lane-parallel solver (MemorySystem::
-     * resolveSlabLanesWithCrossingCap, bitwise identical to per-point
-     * resolveBandwidth() calls). When @p pool is non-null its
-     * memory-frequency slabs are resolved in parallel (each slab
-     * writes only its own slots, so results are
-     * scheduling-independent).
+     * configuration lattice, the bandwidth lattice as its two factored
+     * planes (bitwise identical to per-point resolveBandwidth() calls
+     * through TimingAxisTables::bandwidthAt()).
      */
-    TimingAxisTables buildAxisTables(const PreparedKernel &prep,
-                                     ThreadPool *pool = nullptr) const;
+    TimingAxisTables buildAxisTables(const PreparedKernel &prep) const;
 
   private:
     /** The per-config arithmetic of run(). */

@@ -4,7 +4,10 @@
  * evaluation (the GpuDevice::run reference) vs the batched lattice
  * path (GpuDevice::runLattice) into either of its sinks, whole
  * KernelResults ("batched") or served PointResults
- * ("batched-points"), at 1 and 4 worker threads.
+ * ("batched-points"), at 1 and 4 worker threads, plus a lattice of
+ * one configuration ("one-config"), which costs the evaluator's fixed
+ * per-lattice work (preparation, axis and power tables) and a single
+ * combine lane.
  *
  * Drives GpuDevice::runLattice (and, for the naive rows, per-config
  * GpuDevice::run under the same thread pool) straight into a reused
@@ -14,10 +17,13 @@
  * otherwise dominate run-to-run noise.
  *
  * Reports kernel-invocation lattices per second (one lattice = one
- * (kernel, iteration) evaluated at all 448 configurations) and the
+ * (kernel, iteration) evaluated at every configuration of the
+ * device's lattice: 448 on hd7970, 10,416 on ampere-ga100) and the
  * per-config rate, and prints the single-thread batched/naive and
- * points/KernelResult sink speedups. `--bench-reps N` controls how many full-suite passes each
- * variant runs (default 6); the measurements land in the
+ * points/KernelResult sink speedups and the fixed-cost share: a
+ * one-config lattice's time over a full batched-points lattice's.
+ * `--bench-reps N` controls how many full-suite passes each variant
+ * runs (default 6); the measurements land in the
  * micro_sweep/micro_sweep_summary artifacts under `--out`.
  */
 
@@ -37,7 +43,8 @@ namespace
 
 struct Measurement
 {
-    std::string path; // "naive" | "batched" | "batched-points"
+    // "naive" | "batched" | "batched-points" | "one-config"
+    std::string path;
     int jobs = 1;
     int reps = 1;
     size_t lattices = 0;
@@ -50,14 +57,18 @@ struct Measurement
 
 /**
  * Evaluate every suite kernel at @p reps distinct iterations into a
- * reused result buffer. @p path selects the naive per-config loop or
- * the batched lattice path into KernelResults or PointResults.
+ * reused result buffer. @p path selects the naive per-config loop,
+ * the batched lattice path into KernelResults or PointResults, or a
+ * PointResult lattice of the single maximum configuration.
  */
 Measurement
 measure(ExpContext &ctx, const std::string &path, int jobs, int reps)
 {
     const GpuDevice &dev = ctx.device();
-    const std::vector<HardwareConfig> configs = dev.space().allConfigs();
+    const std::vector<HardwareConfig> all = dev.space().allConfigs();
+    const std::vector<HardwareConfig> one = {dev.space().maxConfig()};
+    const std::vector<HardwareConfig> &configs =
+        path == "one-config" ? one : all;
     const std::vector<Application> &apps = ctx.suite();
     ThreadPool pool(jobs);
     std::vector<KernelResult> out(configs.size());
@@ -113,8 +124,8 @@ class MicroSweep final : public Experiment
                    "Design-space sweep throughput: naive per-config "
                    "evaluation vs the batched lattice path.");
 
-        const std::vector<std::string> paths = {"naive", "batched",
-                                                "batched-points"};
+        const std::vector<std::string> paths = {
+            "naive", "batched", "batched-points", "one-config"};
 
         // Per path: one warm-up pass so first-touch allocation and
         // page faults don't land in a timed region, then the fastest
@@ -152,10 +163,13 @@ class MicroSweep final : public Experiment
                 .cell(formatNum(m.configsPerSec(), 0))
                 .cell(formatNum(m.seconds, 3));
         }
-        ctx.emit(table, "Sweep throughput (448-config lattices)",
+        const size_t latticeSize = ctx.device().space().size();
+        ctx.emit(table,
+                 "Sweep throughput (" + std::to_string(latticeSize) +
+                     "-config lattices)",
                  "micro_sweep");
 
-        double naive1 = 0.0, batched1 = 0.0, points1 = 0.0;
+        double naive1 = 0.0, batched1 = 0.0, points1 = 0.0, one1 = 0.0;
         for (const Measurement &m : runs) {
             if (m.jobs != 1)
                 continue;
@@ -163,29 +177,37 @@ class MicroSweep final : public Experiment
                 naive1 = m.latticesPerSec();
             else if (m.path == "batched")
                 batched1 = m.latticesPerSec();
-            else
+            else if (m.path == "batched-points")
                 points1 = m.latticesPerSec();
+            else
+                one1 = m.latticesPerSec();
         }
         const double batchedSpeedup1 =
             naive1 > 0.0 ? batched1 / naive1 : 0.0;
         const double sinkSpeedup1 =
             batched1 > 0.0 ? points1 / batched1 : 0.0;
+        // Time per one-config lattice over time per full lattice.
+        const double fixedShare1 = one1 > 0.0 ? points1 / one1 : 0.0;
         ctx.out() << "\nsingle-thread batched speedup: "
                   << formatNum(batchedSpeedup1, 2) << "x\n"
                   << "single-thread points/KernelResult sink speedup: "
-                  << formatNum(sinkSpeedup1, 2) << "x\n";
+                  << formatNum(sinkSpeedup1, 2) << "x\n"
+                  << "single-thread fixed-cost share (one-config / "
+                     "full lattice): "
+                  << formatNum(100.0 * fixedShare1, 1) << "%\n";
 
         TextTable summary({"metric", "value"});
         summary.row().cell("configs per lattice").numInt(
-            static_cast<long long>(
-                runs.empty() ? 0 : runs.front().configs /
-                                       runs.front().lattices));
+            static_cast<long long>(latticeSize));
         summary.row().cell("reps per variant").numInt(reps);
         summary.row().cell("single-thread batched speedup").num(
             batchedSpeedup1, 3);
         summary.row()
             .cell("single-thread points/KernelResult sink speedup")
             .num(sinkSpeedup1, 3);
+        summary.row()
+            .cell("single-thread fixed-cost share")
+            .num(fixedShare1, 3);
         ctx.emit(summary, "micro_sweep summary", "micro_sweep_summary");
     }
 };

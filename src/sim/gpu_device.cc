@@ -130,7 +130,7 @@ runLatticeInto(const GpuDevice &device, const KernelProfile &profile,
                const std::vector<HardwareConfig> &configs, Out *out,
                ThreadPool *pool)
 {
-    const LatticeEvaluator eval(device, profile, phase, pool);
+    const LatticeEvaluator eval(device, profile, phase);
 
     // Sweeps almost always pass the full lattice in canonical
     // allConfigs() order (memory frequency major, then CU count, then

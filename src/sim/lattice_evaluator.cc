@@ -11,10 +11,9 @@ namespace harmonia
 
 LatticeEvaluator::LatticeEvaluator(const GpuDevice &device,
                                    const KernelProfile &profile,
-                                   const KernelPhase &phase,
-                                   ThreadPool *pool)
+                                   const KernelPhase &phase)
     : device_(device), prep_(device.engine().prepare(profile, phase)),
-      timing_(device.engine().buildAxisTables(prep_, pool))
+      timing_(device.engine().buildAxisTables(prep_))
 {
     const size_t nCu = timing_.cuValues.size();
     const size_t nCf = timing_.computeFreqValues.size();
@@ -117,14 +116,17 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
     const size_t nCf = timing_.computeFreqValues.size();
 
     // ---- Gather: lane inputs from the SoA planes ---------------------
-    alignas(64) double ct[kC];     // compute (ALU issue) time
-    alignas(64) double l2t[kC];    // L2 service time
-    alignas(64) double hit[kC];    // L2 hit rate
-    alignas(64) double off[kC];    // off-chip bytes
-    alignas(64) double bwBps[kC];  // resolved bandwidth
-    alignas(64) double pk[kC];     // peak bus bandwidth
-    alignas(64) double ipk[kC];    // 1 / peak bus bandwidth
-    alignas(64) double l2bw[kC];   // L2 service bandwidth
+    alignas(64) double ct[kC];       // compute (ALU issue) time
+    alignas(64) double l2t[kC];      // L2 service time
+    alignas(64) double hit[kC];      // L2 hit rate
+    alignas(64) double off[kC];      // off-chip bytes
+    alignas(64) double inFlight[kC]; // in-flight bytes
+    alignas(64) double ceilBps[kC];  // supply ceiling
+    alignas(64) double ceilLat[kC];  // loaded latency at the ceiling
+    alignas(64) double fixedPt[kC];  // concurrency fixed point
+    alignas(64) double pk[kC];       // peak bus bandwidth
+    alignas(64) double ipk[kC];      // 1 / peak bus bandwidth
+    alignas(64) double l2bw[kC];     // L2 service bandwidth
     alignas(64) double gCuPre[kC], gUncPre[kC], gLeak[kC];
     alignas(64) double iCuDyn[kC], iUncDyn[kC], iLeak[kC], iGpuTot[kC];
     alignas(64) double mFR[kC], mLFS[kC], mVS[kC], mBG[kC];
@@ -153,13 +155,15 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
     if (!fused) {
         for (size_t i = 0; i < n; ++i) {
             const size_t gpuSlot = cuIdx[i] * nCf + cfIdx[i];
-            const size_t bwSlot =
-                (memIdx[i] * nCu + cuIdx[i]) * nCf + cfIdx[i];
+            const size_t ceilSlot = memIdx[i] * nCf + cfIdx[i];
             ct[i] = timing_.computeTime[gpuSlot];
             l2t[i] = timing_.l2Time[cfIdx[i]];
             hit[i] = timing_.l2HitRate[cuIdx[i]];
             off[i] = timing_.offChipBytes[cuIdx[i]];
-            bwBps[i] = timing_.bandwidthBps[bwSlot];
+            inFlight[i] = timing_.inFlightBytes[cuIdx[i]];
+            ceilBps[i] = timing_.ceilingBps[ceilSlot];
+            ceilLat[i] = timing_.ceilingLatency[ceilSlot];
+            fixedPt[i] = timing_.fixedPointBps[memIdx[i] * nCu + cuIdx[i]];
             pk[i] = timing_.peakBandwidth[memIdx[i]];
             ipk[i] = timing_.invPeakBandwidth[memIdx[i]];
             l2bw[i] = timing_.l2Bandwidth[cfIdx[i]];
@@ -184,7 +188,7 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
     }
 
     // ---- Vector outputs ----------------------------------------------
-    alignas(64) double memTime[kC], busyTime[kC], execTime[kC];
+    alignas(64) double bw[kC], memTime[kC], busyTime[kC], execTime[kC];
     alignas(64) double valuBusy[kC], memUnitBusy[kC], memUnitStalled[kC],
         writeUnitStalled[kC], l2CacheHit[kC], icActivity[kC];
     alignas(64) double pCuDyn[kC], pUncDyn[kC], pLeak[kC];
@@ -222,10 +226,12 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
     const VDouble vVr(bp.vrLossFraction);
 
     // Fused-gather bases and chunk-constant broadcasts: lane i of a
-    // canonical chunk maps to gpu slot g0 + i, bandwidth slot b0 + i,
-    // and the chunk's single memory frequency m0.
+    // canonical chunk maps to gpu slot g0 + i and to the chunk's
+    // single memory frequency m0, whose ceiling row starts at c0 and
+    // fixed-point row at f0.
     const size_t g0 = fused ? cuIdx[0] * nCf : 0;
-    const size_t b0 = fused ? (memIdx[0] * nCu + cuIdx[0]) * nCf : 0;
+    const size_t c0 = fused ? memIdx[0] * nCf : 0;
+    const size_t f0 = fused ? memIdx[0] * nCu : 0;
     VDouble cPk, cIpk, cMFR, cMLFS, cMVS, cMBG;
     VDouble cImBG, cImAP, cImRW, cImTerm, cImPhy, cIMemTot;
     if (fused) {
@@ -246,14 +252,14 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
 
     for (size_t i = 0; i < n; i += VDouble::width) {
         const size_t lanes = std::min(VDouble::width, n - i);
-        VDouble vCt, vL2t, vHit, vOff, vBw, vPk, vIpk;
+        VDouble vCt, vL2t, vHit, vOff, vIn, vCeil, vCeilLat, vFixed;
+        VDouble vPk, vIpk;
         VDouble vL2bwIn, vGCuPre, vGUncPre, vGLeak;
         VDouble vICuDyn, vIUncDyn, vILeak, vIGpuTot;
         VDouble vMFR, vMLFS, vMVS, vMBG;
         VDouble vImBG, vImAP, vImRW, vImTerm, vImPhy, vIMemTot;
         if (fused) {
             vCt = VDouble::loadN(&timing_.computeTime[g0 + i], lanes);
-            vBw = VDouble::loadN(&timing_.bandwidthBps[b0 + i], lanes);
             vGCuPre = VDouble::loadN(&gpuCuDynPrefix_[g0 + i], lanes);
             vGUncPre =
                 VDouble::loadN(&gpuUncoreDynPrefix_[g0 + i], lanes);
@@ -264,14 +270,19 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
             vILeak = VDouble::loadN(&idleGpuLeakage_[g0 + i], lanes);
             vIGpuTot = VDouble::loadN(&idleGpuTotal_[g0 + i], lanes);
             // The pack never straddles a compute-frequency row, so the
-            // L2 axis repeats at offset i % nCf and the per-CU-row
-            // values are pack constants.
+            // L2 axis and the ceiling row repeat at offset i % nCf and
+            // the per-CU-row values are pack constants.
             const size_t cf0 = i % nCf;
             vL2t = VDouble::loadN(&timing_.l2Time[cf0], lanes);
             vL2bwIn = VDouble::loadN(&timing_.l2Bandwidth[cf0], lanes);
+            vCeil = VDouble::loadN(&timing_.ceilingBps[c0 + cf0], lanes);
+            vCeilLat =
+                VDouble::loadN(&timing_.ceilingLatency[c0 + cf0], lanes);
             const size_t cu = cuIdx[0] + i / nCf;
             vHit = VDouble(timing_.l2HitRate[cu]);
             vOff = VDouble(timing_.offChipBytes[cu]);
+            vIn = VDouble(timing_.inFlightBytes[cu]);
+            vFixed = VDouble(timing_.fixedPointBps[f0 + cu]);
             vPk = cPk;
             vIpk = cIpk;
             vMFR = cMFR;
@@ -294,7 +305,10 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
             vL2t = VDouble::loadN(l2t + i, lanes);
             vHit = VDouble::loadN(hit + i, lanes);
             vOff = VDouble::loadN(off + i, lanes);
-            vBw = VDouble::loadN(bwBps + i, lanes);
+            vIn = VDouble::loadN(inFlight + i, lanes);
+            vCeil = VDouble::loadN(ceilBps + i, lanes);
+            vCeilLat = VDouble::loadN(ceilLat + i, lanes);
+            vFixed = VDouble::loadN(fixedPt + i, lanes);
             vPk = VDouble::loadN(pk + i, lanes);
             vIpk = VDouble::loadN(ipk + i, lanes);
             vL2bwIn = VDouble::loadN(l2bw + i, lanes);
@@ -316,6 +330,13 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
             vImPhy = VDouble::loadN(imPhy + i, lanes);
             vIMemTot = VDouble::loadN(iMemTot + i, lanes);
         }
+
+        // -- The bandwidth lattice (TimingAxisTables::bandwidthAt) ---
+        // The ceiling when the in-flight bytes saturate it, else the
+        // (memory frequency, CU count) fixed point.
+        const VDouble vBw =
+            select(vIn / vCeilLat >= vCeil, vCeil, vFixed);
+        vBw.storeN(bw + i, lanes);
 
         // -- TimingEngine::combine() ----------------------------------
         // Lanes with zero off-chip traffic or zero resolved bandwidth
@@ -466,8 +487,6 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
         p.other = pOther[i];
     };
     for (size_t i = 0; i < n; ++i) {
-        [[maybe_unused]] const size_t bwSlot =
-            (memIdx[i] * nCu + cuIdx[i]) * nCf + cfIdx[i];
         [[maybe_unused]] double powerW;
         if constexpr (std::is_same_v<Out, KernelResult>) {
             KernelResult &r = out[i];
@@ -482,7 +501,8 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
             t.l2HitRate = hit[i];
             t.requestedBytes = prep_.requestedBytes;
             t.offChipBytes = off[i];
-            t.bandwidth = timing_.bandwidthAt(bwSlot);
+            t.bandwidth =
+                timing_.bandwidthWith(bw[i], memIdx[i], cuIdx[i], cfIdx[i]);
             laneCounters(i, t.counters);
             lanePower(i, r.power);
             r.cardEnergy = cardE[i];
@@ -506,7 +526,11 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
         HARMONIA_CHECK(execTime[i] >= tp.launchOverheadSec,
                        "execTime below the fixed launch overhead");
         HARMONIA_CHECK_RANGE(hit[i], 0.0, 1.0);
-        HARMONIA_CHECK_NONNEG(timing_.bandwidthBps[bwSlot]);
+        HARMONIA_CHECK_NONNEG(bw[i]);
+        HARMONIA_CHECK(bw[i] <= timing_.ceilingBps[memIdx[i] * nCf +
+                                                   cfIdx[i]] *
+                                    (1.0 + 1e-9),
+                       "bandwidth above the supply-path ceiling");
         HARMONIA_CHECK_NONNEG(cardE[i]);
         HARMONIA_CHECK_NONNEG(gpuE[i]);
         HARMONIA_CHECK_NONNEG(memE[i]);

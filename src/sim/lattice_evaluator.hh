@@ -10,9 +10,13 @@
  *  - the config-invariant bundle (TimingEngine::prepare): validation,
  *    occupancy, instruction and traffic totals;
  *  - the timing axis tables (TimingEngine::buildAxisTables): L2 hit
- *    rates per CU count, L2 bandwidth and crossing caps per compute
- *    frequency, ALU issue times per (CU, freq), peak bus bandwidth
- *    per memory frequency, and the resolved bandwidth lattice;
+ *    rates and in-flight bytes per CU count, L2 bandwidth and
+ *    crossing caps per compute frequency, ALU issue times per (CU,
+ *    freq), peak bus bandwidth per memory frequency, and the
+ *    bandwidth lattice as two small planes — supply ceilings per
+ *    (memory, compute frequency) and concurrency fixed points per
+ *    (memory frequency, CU count) — which the combine joins per lane
+ *    with one vector select;
  *  - GPU power factors and DPM-state idle power per (CU count,
  *    compute frequency) — 64 voltage lookups and pow() calls instead
  *    of 448;
@@ -48,8 +52,6 @@
 namespace harmonia
 {
 
-class ThreadPool;
-
 /**
  * One (profile, phase) invocation, prepared for repeated evaluation
  * across the configuration lattice. Holds a reference to the device;
@@ -63,14 +65,10 @@ class LatticeEvaluator
      * chunk at this size and get good parallel grain from it. */
     static constexpr size_t kBatchChunk = 64;
 
-    /**
-     * Hoist all config-invariant and axis-separable work for
-     * (@p profile, @p phase). When @p pool is non-null the bandwidth
-     * lattice is resolved in parallel (deterministically: each slab
-     * writes only its own slots).
-     */
+    /** Hoist all config-invariant and axis-separable work for
+     * (@p profile, @p phase). */
     LatticeEvaluator(const GpuDevice &device, const KernelProfile &profile,
-                     const KernelPhase &phase, ThreadPool *pool = nullptr);
+                     const KernelPhase &phase);
 
     const GpuDevice &device() const { return device_; }
 

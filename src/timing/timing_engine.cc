@@ -5,7 +5,6 @@
 
 #include "common/check.hh"
 #include "harmonia/common/error.hh"
-#include "harmonia/common/thread_pool.hh"
 #include "common/units.hh"
 
 namespace harmonia
@@ -157,8 +156,7 @@ TimingEngine::prepare(const KernelProfile &profile,
 }
 
 TimingAxisTables
-TimingEngine::buildAxisTables(const PreparedKernel &prep,
-                              ThreadPool *pool) const
+TimingEngine::buildAxisTables(const PreparedKernel &prep) const
 {
     const KernelPhase &phase = prep.phase;
 
@@ -173,6 +171,7 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
     t.l2HitRate.resize(nCu);
     t.offChipBytes.resize(nCu);
     t.outstandingRequests.resize(nCu);
+    t.inFlightBytes.resize(nCu);
     for (size_t i = 0; i < nCu; ++i) {
         const int cu = t.cuValues[i];
         t.l2HitRate[i] = cache_.hitRate(phase, cu);
@@ -181,6 +180,8 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
         t.outstandingRequests[i] = static_cast<double>(cu) *
                                    prep.occupancy.wavesPerCu *
                                    phase.mlpPerWave;
+        t.inFlightBytes[i] =
+            t.outstandingRequests[i] * dev_.cacheLineBytes;
     }
 
     t.l2Bandwidth.resize(nCf);
@@ -211,121 +212,45 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
         t.invPeakBandwidth[m] = 1.0 / t.peakBandwidth[m];
     }
 
-    // The bandwidth lattice, built one memory-frequency slab at a
-    // time. Two levers keep the slab cheap while staying bitwise
-    // identical to per-point resolveBandwidth() calls:
-    //
-    //  1. Compute-frequency dedup: with zero outstanding requests the
-    //     result never reads the crossing cap, and once both adjacent
-    //     caps clear the bus ceiling the solve sees the identical
-    //     supply ceiling and limiter ordering — reuse the previous
-    //     entry in the row verbatim.
-    //  2. Every remaining (CU, compute-freq) point in the slab is an
-    //     independent lane of resolveSlabLanesWithCrossingCap(), which
-    //     runs the bisection solves as interleaved vector packs so
-    //     their division chains pipeline instead of running back to
-    //     back.
-    t.bandwidthBps.resize(nMem * nCu * nCf);
-    t.bandwidthLatency.resize(nMem * nCu * nCf);
-    t.bandwidthLimiter.resize(nMem * nCu * nCf);
-
-    // Lane scratch for every slab, allocated once up front; slab m
-    // touches only its own [m * nCu * nCf, ...) window, so the
-    // parallel path stays write-disjoint.
-    std::vector<double> laneOutstandingBuf(nMem * nCu * nCf);
-    std::vector<double> laneCapBuf(nMem * nCu * nCf);
-    std::vector<size_t> laneSlotBuf(nMem * nCu * nCf);
-    std::vector<BandwidthResult> laneResultBuf(nMem * nCu * nCf);
-
+    // The bandwidth lattice, factored. Whether a point saturates its
+    // supply ceiling, and the ceiling's latency and limiter, depend on
+    // (memory frequency, compute frequency) and the CU axis's in-flight
+    // bytes; the concurrency fixed point it resolves to otherwise
+    // depends on (memory frequency, CU count) only.
     MemDemand demand;
     demand.requestBytes = dev_.cacheLineBytes;
     demand.rowHitFraction = phase.rowHitFraction;
     demand.streamEfficiency = phase.streamEfficiency;
+    t.ceilingBps.resize(nMem * nCf);
+    t.ceilingLatency.resize(nMem * nCf);
+    t.ceilingLimiter.resize(nMem * nCf);
+    memsys_.supplyCeilings(t.memFreqValues.data(), nMem,
+                           t.crossingCap.data(), nCf, demand,
+                           t.ceilingBps.data(), t.ceilingLatency.data(),
+                           t.ceilingLimiter.data());
 
-    // A compute frequency dedups against its left neighbor when both
-    // crossing caps clear the slab's bus ceiling (or the row has no
-    // outstanding requests); everything else becomes a lane.
-    auto dedups = [&](double outstanding, double busPeak, size_t cf) {
-        return cf > 0 && (outstanding == 0.0 ||
-                          (t.crossingCap[cf] >= busPeak &&
-                           t.crossingCap[cf - 1] >= busPeak));
-    };
-
-    auto stageLanes = [&](size_t m) -> size_t {
-        const double busPeak =
-            t.peakBandwidth[m] * demand.streamEfficiency;
-        double *laneOutstanding = &laneOutstandingBuf[m * nCu * nCf];
-        double *laneCap = &laneCapBuf[m * nCu * nCf];
-        size_t *laneSlot = &laneSlotBuf[m * nCu * nCf];
-        size_t n = 0;
-        for (size_t cu = 0; cu < nCu; ++cu) {
-            for (size_t cf = 0; cf < nCf; ++cf) {
-                if (dedups(t.outstandingRequests[cu], busPeak, cf))
-                    continue;
-                laneOutstanding[n] = t.outstandingRequests[cu];
-                laneCap[n] = t.crossingCap[cf];
-                laneSlot[n] = cu * nCf + cf;
-                ++n;
-            }
-        }
-        return n;
-    };
-
-    auto scatterSlab = [&](size_t m, size_t n) {
-        const double busPeak =
-            t.peakBandwidth[m] * demand.streamEfficiency;
-        double *slabBps = &t.bandwidthBps[m * nCu * nCf];
-        double *slabLatency = &t.bandwidthLatency[m * nCu * nCf];
-        BandwidthLimiter *slabLimiter =
-            &t.bandwidthLimiter[m * nCu * nCf];
-        const size_t *laneSlot = &laneSlotBuf[m * nCu * nCf];
-        const BandwidthResult *laneResult = &laneResultBuf[m * nCu * nCf];
-        for (size_t l = 0; l < n; ++l) {
-            slabBps[laneSlot[l]] = laneResult[l].effectiveBps;
-            slabLatency[laneSlot[l]] = laneResult[l].latency;
-            slabLimiter[laneSlot[l]] = laneResult[l].limiter;
-        }
-        for (size_t cu = 0; cu < nCu; ++cu) {
-            const size_t row = cu * nCf;
-            for (size_t cf = 1; cf < nCf; ++cf) {
-                if (dedups(t.outstandingRequests[cu], busPeak, cf)) {
-                    slabBps[row + cf] = slabBps[row + cf - 1];
-                    slabLatency[row + cf] = slabLatency[row + cf - 1];
-                    slabLimiter[row + cf] = slabLimiter[row + cf - 1];
-                }
-            }
-        }
-    };
-
-    auto stageRequest = [&](size_t m) {
-        MemorySystem::SlabLaneRequest req;
-        req.memFreqMhz = t.memFreqValues[m];
-        req.lanes = stageLanes(m);
-        req.outstanding = &laneOutstandingBuf[m * nCu * nCf];
-        req.crossingCaps = &laneCapBuf[m * nCu * nCf];
-        req.out = &laneResultBuf[m * nCu * nCf];
-        return req;
-    };
-
-    if (pool != nullptr && pool->numThreads() > 1) {
-        pool->parallelFor(nMem, 1, [&](size_t m) {
-            const MemorySystem::SlabLaneRequest req = stageRequest(m);
-            memsys_.resolveSlabLanesWithCrossingCap(&req, 1, demand);
-            scatterSlab(m, req.lanes);
-        });
-    } else {
-        // Serial: stage every slab first and resolve them in one
-        // multi-slab call, so the bisection packs of all memory
-        // frequencies pipeline against each other (bitwise identical
-        // to per-slab calls; see resolveSlabLanesWithCrossingCap).
-        std::vector<MemorySystem::SlabLaneRequest> reqs(nMem);
-        for (size_t m = 0; m < nMem; ++m)
-            reqs[m] = stageRequest(m);
-        memsys_.resolveSlabLanesWithCrossingCap(reqs.data(), nMem,
-                                                demand);
-        for (size_t m = 0; m < nMem; ++m)
-            scatterSlab(m, reqs[m].lanes);
+    // A demand that saturates the highest ceiling of its memory
+    // frequency saturates every ceiling there: the loaded latency is
+    // nondecreasing in the ceiling and the in-flight bytes over it
+    // nonincreasing, op by op in IEEE arithmetic too. Its fixed point
+    // is never read, so it is not solved.
+    const size_t top = static_cast<size_t>(
+        std::max_element(t.crossingCap.begin(), t.crossingCap.end()) -
+        t.crossingCap.begin());
+    std::vector<char> solve(nMem * nCu);
+    for (size_t m = 0; m < nMem; ++m) {
+        const size_t mc = m * nCf + top;
+        for (size_t cu = 0; cu < nCu; ++cu)
+            solve[m * nCu + cu] =
+                !(t.inFlightBytes[cu] / t.ceilingLatency[mc] >=
+                  t.ceilingBps[mc]);
     }
+    t.fixedPointBps.resize(nMem * nCu);
+    t.fixedPointLatency.resize(nMem * nCu);
+    memsys_.solveFixedPoints(t.memFreqValues.data(), nMem,
+                             t.outstandingRequests.data(), nCu, demand,
+                             solve.data(), t.fixedPointBps.data(),
+                             t.fixedPointLatency.data());
     return t;
 }
 

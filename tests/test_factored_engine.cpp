@@ -7,21 +7,26 @@
  * identical* to the naive per-config path — not merely close.
  * These tests compare every double of every KernelResult at the bit
  * level across the full workload suite x the 448-point lattice, plus
- * spot-check each axis table against direct model calls (which also
- * pins the bandwidth-dedupe rule: a reused entry must equal the full
- * fixed-point solve it skipped).
+ * spot-check each axis table against direct model calls, and check the
+ * factored bandwidth lattice (supply ceilings x concurrency fixed
+ * points) slot by slot against the single-point reference on every
+ * registered device, with directed zero-demand and saturation-boundary
+ * phases.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "harmonia/common/error.hh"
 #include "harmonia/common/thread_pool.hh"
 #include "harmonia/core/sweep.hh"
+#include "harmonia/sim/device_registry.hh"
 #include "harmonia/sim/gpu_device.hh"
 #include "sim/lattice_evaluator.hh"
 #include "harmonia/workloads/suite.hh"
@@ -173,10 +178,54 @@ TEST(FactoredEngine, SweepFactoredMatchesNaiveSweep)
     }
 }
 
+/**
+ * Require every slot of @p t's factored bandwidth lattice, read
+ * through bandwidthAt(), to be bitwise the single-point reference
+ * (MemorySystem::resolveBandwidth) at that configuration. Returns the
+ * number of slots that saturated their supply ceiling, so callers can
+ * tell that both halves of the select were exercised.
+ */
+size_t
+expectBandwidthMatchesReference(const GpuDevice &dev,
+                                const PreparedKernel &prep,
+                                const TimingAxisTables &t,
+                                const std::string &ctxBase)
+{
+    MemDemand demand;
+    demand.requestBytes = dev.config().cacheLineBytes;
+    demand.rowHitFraction = prep.phase.rowHitFraction;
+    demand.streamEfficiency = prep.phase.streamEfficiency;
+    size_t saturated = 0;
+    for (size_t m = 0; m < t.memFreqValues.size(); ++m) {
+        for (size_t cu = 0; cu < t.cuValues.size(); ++cu) {
+            demand.outstandingRequests = t.outstandingRequests[cu];
+            for (size_t cf = 0; cf < t.computeFreqValues.size(); ++cf) {
+                const std::string ctx =
+                    ctxBase + " bw(" + std::to_string(t.memFreqValues[m]) +
+                    "," + std::to_string(t.cuValues[cu]) + "," +
+                    std::to_string(t.computeFreqValues[cf]) + ")";
+                const BandwidthResult direct =
+                    dev.engine().memorySystem().resolveBandwidth(
+                        t.memFreqValues[m], t.computeFreqValues[cf],
+                        demand);
+                const BandwidthResult tabled = t.bandwidthAt(m, cu, cf);
+                EXPECT_SAME_BITS(tabled.effectiveBps,
+                                 direct.effectiveBps);
+                EXPECT_SAME_BITS(tabled.latency, direct.latency);
+                EXPECT_EQ(tabled.limiter, direct.limiter) << ctx;
+                saturated += tabled.effectiveBps ==
+                             t.ceilingBps[m * t.computeFreqValues.size() +
+                                          cf];
+            }
+        }
+    }
+    return saturated;
+}
+
 // Every axis-table entry must be byte-for-byte the value the direct
 // model call produces. The bandwidth check is the important one: it
-// proves the crossing-cap dedupe only reuses results that are exactly
-// what the skipped fixed-point solve would have returned.
+// proves the two factored planes, joined per slot, reproduce the
+// single-point solve at every lattice point.
 TEST(FactoredEngine, AxisTablesMatchDirectModelCalls)
 {
     const GpuDevice &dev = device();
@@ -190,9 +239,11 @@ TEST(FactoredEngine, AxisTablesMatchDirectModelCalls)
     ASSERT_EQ(t.cuValues.size(), 8u);
     ASSERT_EQ(t.computeFreqValues.size(), 8u);
     ASSERT_EQ(t.memFreqValues.size(), 7u);
-    ASSERT_EQ(t.bandwidthBps.size(), 448u);
-    ASSERT_EQ(t.bandwidthLatency.size(), 448u);
-    ASSERT_EQ(t.bandwidthLimiter.size(), 448u);
+    ASSERT_EQ(t.ceilingBps.size(), 7u * 8u);
+    ASSERT_EQ(t.ceilingLatency.size(), 7u * 8u);
+    ASSERT_EQ(t.ceilingLimiter.size(), 7u * 8u);
+    ASSERT_EQ(t.fixedPointBps.size(), 7u * 8u);
+    ASSERT_EQ(t.fixedPointLatency.size(), 7u * 8u);
 
     for (size_t cu = 0; cu < t.cuValues.size(); ++cu) {
         const std::string ctx = "cu=" + std::to_string(t.cuValues[cu]);
@@ -200,6 +251,9 @@ TEST(FactoredEngine, AxisTablesMatchDirectModelCalls)
                          eng.cacheModel().hitRate(phase, t.cuValues[cu]));
         EXPECT_SAME_BITS(t.offChipBytes[cu],
                          prep.requestedBytes * (1.0 - t.l2HitRate[cu]));
+        EXPECT_SAME_BITS(t.inFlightBytes[cu],
+                         t.outstandingRequests[cu] *
+                             dev.config().cacheLineBytes);
     }
     for (size_t cf = 0; cf < t.computeFreqValues.size(); ++cf) {
         const std::string ctx =
@@ -219,58 +273,138 @@ TEST(FactoredEngine, AxisTablesMatchDirectModelCalls)
             eng.memorySystem().peakBandwidth(t.memFreqValues[m]));
     }
 
-    MemDemand demand;
-    demand.requestBytes = dev.config().cacheLineBytes;
-    demand.rowHitFraction = phase.rowHitFraction;
-    demand.streamEfficiency = phase.streamEfficiency;
-    for (size_t m = 0; m < t.memFreqValues.size(); ++m) {
-        for (size_t cu = 0; cu < t.cuValues.size(); ++cu) {
-            demand.outstandingRequests = t.outstandingRequests[cu];
-            for (size_t cf = 0; cf < t.computeFreqValues.size(); ++cf) {
-                const std::string ctx =
-                    "bw(" + std::to_string(t.memFreqValues[m]) + "," +
-                    std::to_string(t.cuValues[cu]) + "," +
-                    std::to_string(t.computeFreqValues[cf]) + ")";
-                const BandwidthResult direct =
-                    eng.memorySystem().resolveBandwidth(
-                        t.memFreqValues[m], t.computeFreqValues[cf],
-                        demand);
-                const BandwidthResult tabled =
-                    t.bandwidthAt((m * t.cuValues.size() + cu) *
-                                      t.computeFreqValues.size() +
-                                  cf);
-                EXPECT_SAME_BITS(tabled.effectiveBps,
-                                 direct.effectiveBps);
-                EXPECT_SAME_BITS(tabled.latency, direct.latency);
-                EXPECT_EQ(tabled.limiter, direct.limiter) << ctx;
+    expectBandwidthMatchesReference(dev, prep, t, k.id());
+}
+
+// The factored bandwidth lattice on every registered device, slot by
+// slot against the reference: every distinct (kernel, phase) of the
+// suite on hd7970 and hbm-stacked, and every eighth on ampere-ga100,
+// whose 10,416-slot lattices make the whole suite slow here (the
+// checker and the equivalence suites cover it end to end).
+TEST(FactoredEngine, BandwidthPlanesMatchReferenceOnEveryDevice)
+{
+    for (const std::string &name : deviceNames()) {
+        const GpuDevice dev = makeDevice(name).value();
+        const size_t stride = name == "ampere-ga100" ? 8 : 1;
+        std::set<InvocationKey> keys;
+        size_t checked = 0;
+        size_t saturated = 0;
+        size_t slots = 0;
+        for (const Application &app : standardSuite()) {
+            for (const KernelProfile &k : app.kernels) {
+                for (int iter = 0; iter < app.iterations; ++iter) {
+                    if (!keys.insert(InvocationKey(k, iter)).second ||
+                        (keys.size() - 1) % stride != 0)
+                        continue;
+                    const PreparedKernel prep =
+                        dev.engine().prepare(k, k.phase(iter));
+                    const TimingAxisTables t =
+                        dev.engine().buildAxisTables(prep);
+                    saturated += expectBandwidthMatchesReference(
+                        dev, prep, t,
+                        name + " " + k.id() + "#" + std::to_string(iter));
+                    slots += dev.space().size();
+                    ++checked;
+                }
             }
         }
+        EXPECT_EQ(keys.size(), 75u) << name;
+        EXPECT_GE(checked, name == "ampere-ga100" ? 8u : 75u) << name;
+        // Both halves of the select are live on every device.
+        EXPECT_GT(saturated, 0u) << name;
+        EXPECT_LT(saturated, slots) << name;
     }
 }
 
-// Table construction with a pool must be bit-identical to serial
-// construction (each bandwidth row writes only its own slots).
-TEST(FactoredEngine, ParallelTableBuildMatchesSerial)
+// A phase with no outstanding requests (mlpPerWave = 0): the fixed
+// point must be the reference's exact 0.0 at the unloaded latency, not
+// the tiny positive number a bisection with zero in-flight bytes
+// converges to, and the lattice must match run() bitwise.
+TEST(FactoredEngine, ZeroDemandPhaseResolvesToExactZero)
 {
-    const TimingEngine &eng = device().engine();
-    const KernelProfile k = makeStreamcluster().kernels.front();
-    const PreparedKernel prep = eng.prepare(k, k.phase(0));
+    for (const std::string &name : deviceNames()) {
+        const GpuDevice dev = makeDevice(name).value();
+        const KernelProfile k = makeDeviceMemory().kernels.front();
+        KernelPhase phase = k.phase(0);
+        phase.mlpPerWave = 0.0;
+        const PreparedKernel prep = dev.engine().prepare(k, phase);
+        const TimingAxisTables t = dev.engine().buildAxisTables(prep);
+        EXPECT_EQ(expectBandwidthMatchesReference(dev, prep, t, name),
+                  0u);
+        for (size_t m = 0; m < t.memFreqValues.size(); ++m) {
+            const std::string ctx = name + " mem " +
+                                    std::to_string(t.memFreqValues[m]);
+            const BandwidthResult r = t.bandwidthAt(m, 0, 0);
+            EXPECT_SAME_BITS(r.effectiveBps, 0.0);
+            EXPECT_SAME_BITS(
+                r.latency,
+                dev.engine().memorySystem().gddr5().unloadedLatency(
+                    t.memFreqValues[m]));
+            EXPECT_EQ(r.limiter, BandwidthLimiter::Concurrency) << ctx;
+        }
 
-    const TimingAxisTables serial = eng.buildAxisTables(prep);
-    ThreadPool pool(4);
-    const TimingAxisTables parallel = eng.buildAxisTables(prep, &pool);
-
-    ASSERT_EQ(serial.bandwidthBps.size(), parallel.bandwidthBps.size());
-    for (size_t i = 0; i < serial.bandwidthBps.size(); ++i) {
-        const std::string ctx = "slot " + std::to_string(i);
-        EXPECT_SAME_BITS(serial.bandwidthBps[i],
-                         parallel.bandwidthBps[i]);
-        EXPECT_SAME_BITS(serial.bandwidthLatency[i],
-                         parallel.bandwidthLatency[i]);
-        EXPECT_EQ(serial.bandwidthLimiter[i],
-                  parallel.bandwidthLimiter[i])
-            << ctx;
+        const std::vector<HardwareConfig> configs =
+            dev.space().allConfigs();
+        std::vector<KernelResult> batched(configs.size());
+        dev.runLattice(k, phase, configs, batched.data());
+        for (size_t i = 0; i < configs.size(); i += 7)
+            expectSameResult(batched[i], dev.run(k, phase, configs[i]),
+                             name + " @ " + configs[i].str());
     }
+}
+
+// Demand placed on the saturation boundary of one lattice slot: the
+// MLP is swept across the value at which that slot's in-flight bytes
+// just saturate its ceiling, a few ULPs either side, so the slot flips
+// between the fixed point (whose limiter and latency then come from
+// the within-1e-9-of-the-ceiling rule) and the ceiling. Every slot of
+// every probe must match the reference and run() bitwise.
+TEST(FactoredEngine, SaturationBoundaryMatchesReference)
+{
+    const GpuDevice &dev = device();
+    const TimingEngine &eng = dev.engine();
+    const KernelProfile k = makeDeviceMemory().kernels.front();
+    KernelPhase phase = k.phase(0);
+    const PreparedKernel base = eng.prepare(k, phase);
+    const TimingAxisTables t0 = eng.buildAxisTables(base);
+
+    // The slot: lowest memory frequency, largest CU count, lowest
+    // compute frequency (a crossing-bound ceiling).
+    const size_t m = 0;
+    const size_t cu = t0.cuValues.size() - 1;
+    const size_t cf = 0;
+    const size_t mc = m * t0.computeFreqValues.size() + cf;
+    const double boundaryBytes =
+        t0.ceilingBps[mc] * t0.ceilingLatency[mc];
+    const double perMlp = static_cast<double>(t0.cuValues[cu]) *
+                          base.occupancy.wavesPerCu *
+                          dev.config().cacheLineBytes;
+    double mlp = boundaryBytes / perMlp;
+    for (int i = 0; i < 8; ++i)
+        mlp = std::nextafter(mlp, 0.0);
+
+    const std::vector<HardwareConfig> configs = dev.space().allConfigs();
+    std::vector<KernelResult> batched(configs.size());
+    bool sawFixedPoint = false;
+    bool sawCeiling = false;
+    for (int probe = 0; probe < 16; ++probe) {
+        phase.mlpPerWave = mlp;
+        const PreparedKernel prep = eng.prepare(k, phase);
+        const TimingAxisTables t = eng.buildAxisTables(prep);
+        const std::string ctx = "probe " + std::to_string(probe);
+        expectBandwidthMatchesReference(dev, prep, t, ctx);
+        const BandwidthResult r = t.bandwidthAt(m, cu, cf);
+        (r.effectiveBps == t.ceilingBps[mc] ? sawCeiling
+                                            : sawFixedPoint) = true;
+
+        dev.runLattice(k, phase, configs, batched.data());
+        for (size_t i = 0; i < configs.size(); ++i)
+            expectSameResult(batched[i], dev.run(k, phase, configs[i]),
+                             ctx + " @ " + configs[i].str());
+        mlp = std::nextafter(mlp, 1e9);
+    }
+    EXPECT_TRUE(sawFixedPoint);
+    EXPECT_TRUE(sawCeiling);
 }
 
 // Off-lattice configurations are rejected by runLattice's axis

@@ -3,8 +3,9 @@
  * Differential batched-vs-naive equivalence harness.
  *
  * The batched lattice path (GpuDevice::runLattice,
- * LatticeEvaluator::evaluateBatchAtInto, and the vector bandwidth
- * bisection in MemorySystem::resolveSlabLanesWithCrossingCap)
+ * LatticeEvaluator::evaluateBatchAtInto, and the factored bandwidth
+ * solvers MemorySystem::supplyCeilings and the vector bisection in
+ * solveFixedPoints)
  * promises results *bitwise identical* to the scalar naive reference
  * (per-config GpuDevice::run) — not merely close (docs/MODEL.md §9).
  * The full-suite, full-lattice check lives in
@@ -17,10 +18,11 @@
  *  - scheduling independence of the chunked parallel path;
  *  - the PointResult sink of runLattice against the reference run()'s
  *    projection, on every registered device;
- *  - the vector slab bandwidth solver against per-lane calls of the
- *    single-point reference, on every registered device, including
- *    lanes placed exactly on the saturation thresholds the slab dedup
- *    rules key off.
+ *  - the factored bandwidth solvers, joined per slot as the lattice
+ *    joins them, against per-lane calls of the single-point reference
+ *    on every registered device, including caps placed exactly on the
+ *    bus ceiling, zero demand, duplicates, partial packs and masked
+ *    solves.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +31,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,6 +156,39 @@ expectSameBandwidth(const BandwidthResult &a, const BandwidthResult &b,
     EXPECT_SAME_BITS(a.effectiveBps, b.effectiveBps);
     EXPECT_SAME_BITS(a.latency, b.latency);
     EXPECT_EQ(a.limiter, b.limiter) << ctx;
+}
+
+/**
+ * The factored bandwidth planes of a (memory frequency x demand level
+ * x crossing cap) grid, in a TimingAxisTables whose CU axis is the
+ * demand levels and whose compute-frequency axis is the caps, so
+ * bandwidthAt(m, level, cap) joins them exactly as the lattice does.
+ */
+TimingAxisTables
+factoredTables(const MemorySystem &ms, const std::vector<int> &mems,
+               const std::vector<double> &outstanding,
+               const std::vector<double> &caps, const MemDemand &d)
+{
+    TimingAxisTables t;
+    t.memFreqValues = mems;
+    t.cuValues.assign(outstanding.size(), 0);
+    t.computeFreqValues.assign(caps.size(), 0);
+    for (const double o : outstanding)
+        t.inFlightBytes.push_back(o * d.requestBytes);
+    const size_t nMem = mems.size();
+    t.ceilingBps.resize(nMem * caps.size());
+    t.ceilingLatency.resize(nMem * caps.size());
+    t.ceilingLimiter.resize(nMem * caps.size());
+    ms.supplyCeilings(mems.data(), nMem, caps.data(), caps.size(), d,
+                      t.ceilingBps.data(), t.ceilingLatency.data(),
+                      t.ceilingLimiter.data());
+    t.fixedPointBps.resize(nMem * outstanding.size());
+    t.fixedPointLatency.resize(nMem * outstanding.size());
+    const std::vector<char> solveAll(nMem * outstanding.size(), 1);
+    ms.solveFixedPoints(mems.data(), nMem, outstanding.data(),
+                        outstanding.size(), d, solveAll.data(),
+                        t.fixedPointBps.data(), t.fixedPointLatency.data());
+    return t;
 }
 
 } // namespace
@@ -304,13 +340,15 @@ TEST(SimdEquivalence, PointSinkMatchesReferencePoint)
     }
 }
 
-// The vector slab solver, lane by lane, vs the single-point reference
-// on every registered device's memory system, over a grid of demand
-// levels and crossing caps that includes every saturation-threshold
-// boundary the slab dedup rules depend on (cap exactly at the supply
-// ceiling, one ULP either side, zero demand, saturating demand, and
-// duplicate lanes).
-TEST(SimdEquivalence, LaneResolverMatchesPerLaneCalls)
+// The two factored solvers, joined per slot by
+// TimingAxisTables::bandwidthAt() as the lattice joins them, vs the
+// single-point reference on every registered device's memory system.
+// The grid of demand levels and crossing caps includes every
+// saturation threshold the join keys off (cap exactly at the bus
+// ceiling, one ULP either side), zero demand, saturating demand, and
+// duplicate levels; one call stages more solves than a pack, so the
+// last pack is partial.
+TEST(SimdEquivalence, FactoredSolversMatchPerLaneCalls)
 {
     MemDemand demand;
     MemDemand streaming;
@@ -322,110 +360,106 @@ TEST(SimdEquivalence, LaneResolverMatchesPerLaneCalls)
         const GpuDevice dev = makeDevice(name).value();
         const MemorySystem &ms = dev.engine().memorySystem();
         const ConfigSpace &space = dev.space();
+        const std::vector<int> mems = space.values(Tunable::MemFreq);
         for (const MemDemand &d : {demand, streaming}) {
-            for (const int mem : space.values(Tunable::MemFreq)) {
+            std::vector<double> outstanding = {0.0,  1.0,   7.5,
+                                               64.0, 640.0, 1e6};
+            // Exact repeats of earlier levels, the zero one included.
+            outstanding.push_back(outstanding[0]);
+            outstanding.push_back(outstanding[3]);
+            std::vector<double> caps;
+            for (const int mem : mems) {
                 const double peak = ms.peakBandwidth(mem);
                 const double ceiling = d.streamEfficiency * peak;
+                for (const double c :
+                     {0.05 * peak, 0.5 * peak, std::nextafter(ceiling, 0.0),
+                      ceiling, std::nextafter(ceiling, 2.0 * ceiling),
+                      peak, 2.0 * peak})
+                    caps.push_back(c);
+            }
+            caps.push_back(ms.crossing().maxBandwidth(
+                space.minValue(Tunable::ComputeFreq)));
+            caps.push_back(ms.crossing().maxBandwidth(
+                space.maxValue(Tunable::ComputeFreq)));
+            const TimingAxisTables t =
+                factoredTables(ms, mems, outstanding, caps, d);
 
-                std::vector<double> outstanding;
-                std::vector<double> caps;
-                const double demandLevels[] = {0.0,  1.0,   7.5,
-                                               64.0, 640.0, 1e6};
-                const double capLevels[] = {
-                    0.05 * peak,
-                    0.5 * peak,
-                    std::nextafter(ceiling, 0.0),
-                    ceiling,
-                    std::nextafter(ceiling, 2.0 * ceiling),
-                    peak,
-                    2.0 * peak,
-                    ms.crossing().maxBandwidth(
-                        space.minValue(Tunable::ComputeFreq)),
-                    ms.crossing().maxBandwidth(
-                        space.maxValue(Tunable::ComputeFreq)),
-                };
-                for (const double o : demandLevels) {
-                    for (const double c : capLevels) {
-                        outstanding.push_back(o);
-                        caps.push_back(c);
-                    }
-                }
-                // Duplicate the first few lanes so the dedup rules see
-                // exact repeats mid-batch.
-                for (size_t i = 0; i < 5; ++i) {
-                    outstanding.push_back(outstanding[i]);
-                    caps.push_back(caps[i]);
-                }
-
-                const size_t lanes = outstanding.size();
-                std::vector<BandwidthResult> vectorized(lanes);
-                const MemorySystem::SlabLaneRequest slab{
-                    static_cast<double>(mem), lanes, outstanding.data(),
-                    caps.data(), vectorized.data()};
-                ms.resolveSlabLanesWithCrossingCap(&slab, 1, d);
-                for (size_t l = 0; l < lanes; ++l) {
-                    const std::string ctx =
-                        name + " mem " + std::to_string(mem) + " lane " +
-                        std::to_string(l) + " (outstanding " +
-                        std::to_string(outstanding[l]) + ", cap " +
-                        std::to_string(caps[l]) + ")";
+            for (size_t m = 0; m < mems.size(); ++m) {
+                for (size_t j = 0; j < outstanding.size(); ++j) {
                     MemDemand lane = d;
-                    lane.outstandingRequests = outstanding[l];
-                    expectSameBandwidth(
-                        vectorized[l],
-                        ms.resolveWithCrossingCap(mem, lane, caps[l]),
-                        ctx);
+                    lane.outstandingRequests = outstanding[j];
+                    for (size_t c = 0; c < caps.size(); ++c) {
+                        const std::string ctx =
+                            name + " mem " + std::to_string(mems[m]) +
+                            " (outstanding " +
+                            std::to_string(outstanding[j]) + ", cap " +
+                            std::to_string(caps[c]) + ")";
+                        expectSameBandwidth(
+                            t.bandwidthAt(m, j, c),
+                            ms.resolveWithCrossingCap(mems[m], lane,
+                                                      caps[c]),
+                            ctx);
+                    }
                 }
             }
         }
     }
 }
 
-// The cross-slab resolver: staging all memory frequencies' lanes into
-// one interleaved vector bisection pass must reproduce the per-lane
-// single-point calls bit for bit, including slabs whose lane counts
-// leave partial packs.
-TEST(SimdEquivalence, SlabResolverMatchesPerSlabCalls)
+// The vector fixed-point solver under packing stress: seeded random
+// demand levels (level counts 1..17, so single-lane, partial and
+// multi-pack grids), grids larger than one staging block, and a solve
+// mask. Every solved slot is bitwise the reference below its ceiling;
+// a masked-off or zero-demand slot reads 0.0 at the unloaded latency.
+TEST(SimdEquivalence, FixedPointSolverPacksAndMasks)
 {
     const MemorySystem &ms = device().engine().memorySystem();
-    const ConfigSpace &space = device().space();
-    const std::vector<int> mems = space.values(Tunable::MemFreq);
-
-    MemDemand demand;
+    const std::vector<int> mems =
+        device().space().values(Tunable::MemFreq);
+    const MemDemand demand;
     Rng rng = sweepSubstream(0xCAB5ull, 7);
+    const double inf = std::numeric_limits<double>::infinity();
 
-    std::vector<std::vector<double>> outstanding(mems.size());
-    std::vector<std::vector<double>> caps(mems.size());
-    std::vector<std::vector<BandwidthResult>> slabOut(mems.size());
-    std::vector<MemorySystem::SlabLaneRequest> slabs(mems.size());
+    for (const size_t levels : {1, 2, 5, 17, 150}) {
+        std::vector<double> outstanding;
+        for (size_t j = 0; j < levels; ++j)
+            outstanding.push_back(j % 11 == 3 ? 0.0
+                                              : rng.uniform(0.0, 2000.0));
+        std::vector<char> solve(mems.size() * levels);
+        for (size_t slot = 0; slot < solve.size(); ++slot)
+            solve[slot] = slot % 5 != 4;
+        std::vector<double> bps(solve.size(), -1.0);
+        std::vector<double> latency(solve.size(), -1.0);
+        ms.solveFixedPoints(mems.data(), mems.size(), outstanding.data(),
+                            levels, demand, solve.data(), bps.data(),
+                            latency.data());
 
-    for (size_t s = 0; s < mems.size(); ++s) {
-        // Lane counts 1..17: exercises single-lane slabs, partial
-        // packs, and multi-pack slabs in one call.
-        const size_t lanes = 1 + (s * 5) % 17;
-        const double peak = ms.peakBandwidth(mems[s]);
-        for (size_t l = 0; l < lanes; ++l) {
-            outstanding[s].push_back(rng.uniform(0.0, 2000.0));
-            caps[s].push_back(rng.uniform(0.05 * peak, 2.5 * peak));
-        }
-        slabOut[s].resize(lanes);
-        slabs[s] = {static_cast<double>(mems[s]), lanes,
-                    outstanding[s].data(), caps[s].data(),
-                    slabOut[s].data()};
-    }
-
-    ms.resolveSlabLanesWithCrossingCap(slabs.data(), slabs.size(),
-                                       demand);
-
-    for (size_t s = 0; s < mems.size(); ++s) {
-        for (size_t l = 0; l < slabs[s].lanes; ++l) {
-            const std::string ctx = "slab " + std::to_string(mems[s]) +
-                                    " lane " + std::to_string(l);
-            MemDemand lane = demand;
-            lane.outstandingRequests = outstanding[s][l];
-            const BandwidthResult single = ms.resolveWithCrossingCap(
-                slabs[s].memFreqMhz, lane, caps[s][l]);
-            expectSameBandwidth(slabOut[s][l], single, ctx);
+        for (size_t m = 0; m < mems.size(); ++m) {
+            const double unloaded = ms.gddr5().unloadedLatency(mems[m]);
+            for (size_t j = 0; j < levels; ++j) {
+                const size_t slot = m * levels + j;
+                const std::string ctx =
+                    std::to_string(levels) + " levels, mem " +
+                    std::to_string(mems[m]) + " level " +
+                    std::to_string(j);
+                if (!solve[slot] || outstanding[j] == 0.0) {
+                    EXPECT_SAME_BITS(bps[slot], 0.0);
+                    EXPECT_SAME_BITS(latency[slot], unloaded);
+                    continue;
+                }
+                // Below its ceiling the reference returns the fixed
+                // point; an infinite crossing cap leaves the bus
+                // ceiling, which a saturating level still reaches.
+                MemDemand lane = demand;
+                lane.outstandingRequests = outstanding[j];
+                const BandwidthResult ref =
+                    ms.resolveWithCrossingCap(mems[m], lane, inf);
+                if (ref.effectiveBps ==
+                    demand.streamEfficiency * ms.peakBandwidth(mems[m]))
+                    continue;
+                EXPECT_SAME_BITS(bps[slot], ref.effectiveBps);
+                EXPECT_SAME_BITS(latency[slot], ref.latency);
+            }
         }
     }
 }
